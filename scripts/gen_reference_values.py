@@ -27,6 +27,8 @@ show("j_10(0.5)", sph_j(10, mp.mpf("0.5")))
 show("j_50(1.0)", sph_j(50, mp.mpf("1.0")))
 show("j_20(100.0)", sph_j(20, mp.mpf("100.0")))
 show("j_2(25.0)", sph_j(2, mp.mpf("25.0")))
+show("j_400(215.17)", sph_j(400, mp.mpf("215.17")))
+show("j_400(401.9)", sph_j(400, mp.mpf("401.9")))
 show("n_2(0.1)", sph_n(2, mp.mpf("0.1")))
 show("n_10(0.5)", sph_n(10, mp.mpf("0.5")))
 

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expint import ei
-from .oracle import QuadConfig, quad_finite, quad_semi_infinite
+from .oracle import (
+    QuadConfig,
+    finite_diff_derivative,
+    quad_finite,
+    quad_semi_infinite,
+)
 from .sphfun import (
     legendre_p,
     sph_bessel_j,
@@ -51,14 +56,10 @@ def _fd2(f, x, h=1e-3):
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
-def _fd1(f, x, h=1e-4):
-    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
-
-
 def _entry_ode_sign() -> ErrataEntry:
     l, x = 2, 1.7
     f = lambda t: sph_bessel_j(l, t)
-    y, yp, ypp = f(x), _fd1(f, x), _fd2(f, x)
+    y, yp, ypp = f(x), finite_diff_derivative(f, x, 1e-4), _fd2(f, x)
     cf = l * (l + 1) / x ** 2
     printed = ypp + 2.0 / x * yp + (1.0 + cf) * y
     corrected = ypp + 2.0 / x * yp + (1.0 - cf) * y
@@ -94,8 +95,8 @@ def _entry_recurrence_missing_factor() -> ErrataEntry:
 def _entry_derivative_identity_index() -> ErrataEntry:
     l, x = 3, 1.9
     lhs = l * sph_bessel_j(l - 1, x) - (l + 1) * sph_bessel_j(l + 1, x)
-    d1 = _fd1(lambda t: sph_bessel_j(1, t), x)
-    dl = _fd1(lambda t: sph_bessel_j(l, t), x)
+    d1 = finite_diff_derivative(lambda t: sph_bessel_j(1, t), x, 1e-4)
+    dl = finite_diff_derivative(lambda t: sph_bessel_j(l, t), x, 1e-4)
     return ErrataEntry(
         ident="derivative-identity-index",
         context="derivative identity l y_{l-1} - (l+1) y_{l+1}",

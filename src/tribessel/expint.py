@@ -284,13 +284,6 @@ def _lower_gamma_int(s: int, z: complex) -> complex:
     return math.factorial(s - 1) - upper_incomplete_gamma(s, z)
 
 
-def _gamma_upper_general(s: int, z: complex) -> complex:
-    """Gamma(s, z) continued to integer s <= 0 via Gamma(s, z) = z^s E_{1-s}(z)."""
-    if s >= 1:
-        return upper_incomplete_gamma(s, z)
-    return z ** s * exp_integral_en(1 - s, z)
-
-
 # ---------------------------------------------------------------------------
 # Antiderivative of x^n e^{cx}
 # ---------------------------------------------------------------------------

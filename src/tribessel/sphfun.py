@@ -6,6 +6,12 @@ expansion of a plane wave. The j_l evaluator switches between a Taylor series
 (small x), Miller-style downward recurrence (x below the order), and upward
 recurrence (x above the order) so that all three regimes keep close to full
 double precision.
+
+The regime is chosen once per call: an array that lies in one regime goes
+straight to it, and only an array spanning two is split. The series length is
+fixed by the largest argument. The Miller recurrence checks for rescaling only
+once an a-priori growth bound says it could be needed, and rescales each
+element on its own, so a value never depends on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -19,6 +25,12 @@ from .errors import DomainError
 # Downward recurrence is renormalized whenever trial values exceed this.
 _RESCALE_LIMIT = 1e250
 _RESCALE_FACTOR = 1e-250
+# Bound (log10) on trial growth below which no value can reach the limit.
+_RESCALE_LOG10_SAFE = 249.0
+
+# The j_l series stops at the first term whose bound drops to _SERIES_TAIL.
+_SERIES_TAIL = 5e-19
+_SERIES_MAX_TERMS = 59
 
 # Below this |sin x| the j_0 Miller normalization is ill-conditioned and the
 # j_1 reference is used instead.
@@ -45,20 +57,30 @@ def _jl_series(l: int, x: np.ndarray) -> np.ndarray:
 
     Accurate for x^2 <= 2l+3; the leading factor is computed in log space so
     extreme orders underflow gracefully to 0 instead of overflowing the
-    double-factorial.
+    double-factorial. There the sum alternates with decreasing terms and
+    stays >= 1/2, so the term count is fixed once from the largest x^2: every
+    term left out is below _SERIES_TAIL, far under half an ulp of the sum.
     """
     # log((2l+1)!!) = lgamma(2l+2) - l*log(2) - lgamma(l+1)
     log_dfact = math.lgamma(2 * l + 2) - l * math.log(2.0) - math.lgamma(l + 1)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         lead = np.exp(l * np.log(x) - log_dfact)
+    x2 = x * x
+    x2_max = float(x2.max())
+    n_terms = _SERIES_MAX_TERMS
+    bound = 1.0
+    for k in range(1, _SERIES_MAX_TERMS + 1):
+        bound *= x2_max / (2.0 * k * (2 * l + 2 * k + 1))
+        if bound <= _SERIES_TAIL:
+            n_terms = k
+            break
+    neg_x2 = -x2
     total = np.ones_like(x)
     term = np.ones_like(x)
-    x2 = x * x
-    for k in range(1, 60):
-        term = term * (-x2) / (2.0 * k * (2 * l + 2 * k + 1))
+    for k in range(1, n_terms + 1):
+        term *= neg_x2
+        term /= 2.0 * k * (2 * l + 2 * k + 1)
         total += term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
-            break
     return lead * total
 
 
@@ -74,8 +96,16 @@ def _jl_upward(l: int, x: np.ndarray) -> np.ndarray:
 
 def _jl_downward(l: int, x: np.ndarray) -> np.ndarray:
     """Miller's algorithm: recurse down from a padded start order, then scale
-    the trial values against j_0 (or j_1 where j_0 is near a zero)."""
+    the trial values against j_0 (or j_1 where j_0 is near a zero).
+
+    Trial values grow by at most a factor (2 lam + 1)/x + 1 per step, so the
+    rescale check only starts once that running bound, taken at the smallest
+    x, could pass _RESCALE_LIMIT. Each element is rescaled on its own, which
+    keeps every result independent of the rest of the batch.
+    """
     l_start = l + math.isqrt(40 * l - 1) + 1 + 20  # l + ceil(sqrt(40 l)) + 20
+    inv_x_min = 1.0 / float(x.min())
+    log_growth = 0.0
     jp = np.zeros_like(x)
     jc = np.ones_like(x)
     out = None
@@ -84,12 +114,16 @@ def _jl_downward(l: int, x: np.ndarray) -> np.ndarray:
         jp, jc = jc, jm
         if lam - 1 == l:
             out = jm.copy()
-        peak = np.max(np.abs(jc))
-        if peak > _RESCALE_LIMIT:
-            jp *= _RESCALE_FACTOR
-            jc *= _RESCALE_FACTOR
+        if log_growth <= _RESCALE_LOG10_SAFE:
+            log_growth += math.log10((2 * lam + 1) * inv_x_min + 1.0)
+            if log_growth <= _RESCALE_LOG10_SAFE:
+                continue
+        big = np.abs(jc) > _RESCALE_LIMIT
+        if big.any():
+            jp[big] *= _RESCALE_FACTOR
+            jc[big] *= _RESCALE_FACTOR
             if out is not None:
-                out *= _RESCALE_FACTOR
+                out[big] *= _RESCALE_FACTOR
     sin_x = np.sin(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio0 = (sin_x / x) / jc
@@ -99,10 +133,24 @@ def _jl_downward(l: int, x: np.ndarray) -> np.ndarray:
 
 
 def _jl_vec(l: int, x: np.ndarray) -> np.ndarray:
-    """j_l over a positive float array, selecting the stable regime per element."""
+    """j_l over a positive float array, in the stable regime of each element.
+
+    The regime is chosen once per call from the smallest and largest x; only
+    an array that spans two regimes is split by masks.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+    if x.size == 0:
+        return np.empty_like(x)
     series_cut = math.sqrt(2 * l + 3)
+    x_min, x_max = float(x.min()), float(x.max())
+    if x_max <= series_cut:
+        return _jl_series(l, x)
+    if x_min > series_cut:
+        if l < 2 or x_min >= l + 2:
+            return _jl_upward(l, x)
+        if x_max < l + 2:
+            return _jl_downward(l, x)
+    out = np.empty_like(x)
     m_series = x <= series_cut
     m_up = (~m_series) & (x >= l + 2) if l >= 2 else ~m_series
     m_down = ~(m_series | m_up)

@@ -1,10 +1,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from tribessel.errors import DomainError
 from tribessel.sphfun import (
+    _jl_series,
+    _jl_vec,
     legendre_p,
     plane_wave_partial_sum,
     sph_bessel_j,
@@ -21,6 +24,8 @@ J_REFERENCE = {
     (50, 1.0): 3.6152747174897873e-81,
     (20, 100.0): 0.010107671283873054,
     (2, 25.0): 0.00051088497094747546,
+    (400, 215.17): 3.3308516812561456e-71,
+    (400, 401.9): 0.0044424142458540276,
 }
 N_REFERENCE = {
     (2, 0.1): -3005.0124791753455,
@@ -56,6 +61,67 @@ def test_j_reference_values(key, want):
 def test_n_reference_values(key, want):
     l, x = key
     assert math.isclose(sph_bessel_n(l, x), want, rel_tol=1e-12)
+
+
+def _regime_spanning_points(l):
+    """Points in all three j_l regimes, with both regime boundaries exactly."""
+    cut, up = math.sqrt(2 * l + 3), l + 2.0
+    return np.concatenate([
+        np.geomspace(1e-3, cut, 5), [cut, np.nextafter(cut, np.inf)],
+        np.linspace(cut, up, 7)[1:-1], [np.nextafter(up, 0.0), up],
+        np.linspace(up, 3.0 * up + 30.0, 5)[1:],
+    ])
+
+
+def _batch_inputs(l):
+    x = _regime_spanning_points(l)
+    cut, up = math.sqrt(2 * l + 3), l + 2.0
+    return {
+        "mixed": x,
+        "reversed": x[::-1].copy(),
+        "series_only": x[x <= cut],
+        "downward_only": x[(x > cut) & (x < up)],
+        "upward_only": x[x >= up],
+        "empty": np.empty(0),
+        # at l = 400 exactly the batch whose shared rescale gave NaN
+        "wide": (l + 2) / 402 * np.array([28.34, 42.51, 215.17, 401.9]),
+    }
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 5, 8, 30, 100, 300, 400, 800])
+def test_jl_vec_batch_invariance(l):
+    # every element equals a one-element call bit for bit, whatever the batch
+    for name, x in _batch_inputs(l).items():
+        got = _jl_vec(l, x)
+        assert got.shape == x.shape, name
+        assert np.all(np.isfinite(got)), name
+        for i in range(x.size):
+            alone = _jl_vec(l, x[i:i + 1])[0]
+            assert got[i] == alone, (name, x[i])
+
+
+def _adaptive_series_sum(l, x):
+    """Reference: the series sum stopped once every term is <= 1e-18 * sum."""
+    total = np.ones_like(x)
+    term = np.ones_like(x)
+    for k in range(1, 60):
+        term = term * (-x * x) / (2.0 * k * (2 * l + 2 * k + 1))
+        total += term
+        if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
+            break
+    return total
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 5, 8, 30, 100, 300])
+def test_jl_series_fixed_length_matches_adaptive_sum(l):
+    # dropped terms lie under half an ulp of the sum, so the bits agree
+    x = np.linspace(1e-3, math.sqrt(2 * l + 3), 41)
+    log_dfact = math.lgamma(2 * l + 2) - l * math.log(2.0) - math.lgamma(l + 1)
+    lead = np.exp(l * np.log(x) - log_dfact)
+    want = lead * _adaptive_series_sum(l, x)
+    assert np.array_equal(_jl_series(l, x), want)
+    for i in range(x.size):
+        assert _jl_series(l, x[i:i + 1])[0] == want[i]
 
 
 def test_n_closed_forms_low_order():
