@@ -2,7 +2,8 @@
 
 Output is deterministic: floats always use %.12e, rows follow grid order,
 and identical invocations produce byte-identical bytes. Exit codes: 0 ok,
-1 usage error, 2 precondition violation, 3 comparison failures.
+1 usage error, 2 precondition violation or arithmetic failure (overflow),
+3 comparison failures.
 """
 
 from __future__ import annotations
@@ -462,6 +463,9 @@ def main(argv=None) -> int:
         return handlers[args.command](parser, args)
     except _PRECONDITION_ERRORS as exc:
         print(f"tribessel: precondition violated: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"tribessel: cannot evaluate: {exc}", file=sys.stderr)
         return 2
 
 

@@ -13,8 +13,9 @@ independent code path for cross-validation.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,25 +142,30 @@ def _j_symbols(l: int, gamma: float):
     return cur
 
 
-def reduce_orders(spec: IntegralSpec) -> list[BaseTerm]:
-    """Reduce x^n j_h(alpha x) j_k(beta x) j_l(mu x) to a list of BaseTerms.
+# Reductions kept by _reduce_shape: a family's shapes repeat across its n and m
+# values, and an interval op reduces its spec once per endpoint.
+_SHAPE_CACHE_SIZE = 8
 
-    Powers p span [n - 3 - h - k - l, n - 3]; frequencies are canonicalized to
-    gamma >= 0 (sign absorbed into the coefficient for sine terms).
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _reduce_shape(h: int, k: int, l: int, alpha: float, beta: float,
+                  mu: float) -> tuple:
+    """The n-free reduction of j_h(alpha x) j_k(beta x) j_l(mu x).
+
+    Returns an immutable tuple of (d, kind, gamma, coeff) sorted by
+    (d, kind, gamma): the product is sum coeff * x^d * kind(gamma x).
     """
-    sym_a = _j_symbols(spec.h, float(spec.alpha))
-    sym_b = _j_symbols(spec.k, float(spec.beta))
-    sym_c = _j_symbols(spec.l, float(spec.mu))
+    sym_a = _j_symbols(h, alpha)
+    sym_b = _j_symbols(k, beta)
+    sym_c = _j_symbols(l, mu)
     acc: dict = {}
     for (qa, ka), ca in sym_a.items():
         for (qb, kb), cb in sym_b.items():
             for (qc, kc), cc in sym_c.items():
                 cprod = ca * cb * cc
                 d = qa + qb + qc
-                for w, kd, g in trig_decompose(
-                    float(spec.alpha), float(spec.beta), float(spec.mu),
-                    kinds=(ka, kb, kc),
-                ):
+                for w, kd, g in trig_decompose(alpha, beta, mu,
+                                               kinds=(ka, kb, kc)):
                     coeff = cprod * w
                     if g < 0.0:
                         g = -g
@@ -169,13 +175,23 @@ def reduce_orders(spec: IntegralSpec) -> list[BaseTerm]:
                         g = 0.0  # normalize -0.0
                     key = (d, kd, g)
                     acc[key] = acc.get(key, 0.0) + coeff
+    return tuple((d, kd, g, complex(c))
+                 for (d, kd, g), c in sorted(acc.items()) if c != 0.0)
+
+
+def reduce_orders(spec: IntegralSpec) -> list[BaseTerm]:
+    """Reduce x^n j_h(alpha x) j_k(beta x) j_l(mu x) to a list of BaseTerms.
+
+    Powers p span [n - 3 - h - k - l, n - 3]; frequencies are canonicalized to
+    gamma >= 0 (sign absorbed into the coefficient for sine terms). The
+    n-free part is computed once per (h, k, l, alpha, beta, mu) and the last
+    _SHAPE_CACHE_SIZE shapes are kept; each call returns a fresh list.
+    """
+    shape = _reduce_shape(int(spec.h), int(spec.k), int(spec.l),
+                          float(spec.alpha), float(spec.beta), float(spec.mu))
     n = float(spec.n)
-    terms = [
-        BaseTerm(coeff=complex(c), p=n + d, kind=kd, gamma=g)
-        for (d, kd, g), c in sorted(acc.items())
-        if c != 0.0
-    ]
-    return terms
+    return [BaseTerm(coeff=c, p=n + d, kind=kd, gamma=g)
+            for d, kd, g, c in shape]
 
 
 def integrand(spec: IntegralSpec):
@@ -416,16 +432,6 @@ def _definite_term(p: float, m: float, gamma: float, kind: str) -> float:
     return val.imag if kind == "sin" else val.real
 
 
-def _definite_raw(spec: IntegralSpec, n_value: float) -> float:
-    s = replace(spec, n=n_value) if n_value != float(spec.n) else spec
-    total = 0.0
-    for term in reduce_orders(s):
-        total += term.coeff.real * _definite_term(
-            float(term.p), float(s.m), float(term.gamma), term.kind
-        )
-    return total
-
-
 def _definite_sym_avg(terms: list[BaseTerm], m: float, eps: float) -> float:
     """[F(n+eps) + F(n-eps)] / 2 with per-term pole cancellation.
 
@@ -474,7 +480,11 @@ def eval_definite(spec: IntegralSpec) -> EvalResult:
     if m == 0.0 and n >= 2.0:
         raise DivergenceError(f"m = 0 needs n < 2 at infinity, got n={n}")
     if abs(n - round(n)) > 1e-12:
-        value = _definite_raw(spec, n)
+        value = 0.0
+        for term in reduce_orders(spec):
+            value += term.coeff.real * _definite_term(
+                float(term.p), m, float(term.gamma), term.kind
+            )
         err = abs(value) * 5e-14 + 1e-300
         return EvalResult(value=complex(value), method="closed_form", err_estimate=err)
     terms = reduce_orders(spec)

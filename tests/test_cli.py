@@ -56,6 +56,22 @@ def test_eval_divergent_exits_2(capsys):
     assert "precondition" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--x", "1e-300"],
+    ["sweep", "--x", "1e-300"],
+    ["compare", "--x-lo", "1e-300", "--x-hi", "1"],
+])
+def test_overflow_exits_2_with_one_line(capsys, argv):
+    # the reduced x^-11 term's antiderivative x^-10 overflows at x = 1e-300
+    code, out, err = run(capsys, [*argv, "--n", "0", "--m", "0", "--h", "0",
+                                  "--k", "0", "--l", "8", "--alpha", "1",
+                                  "--beta", "1", "--mu", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("tribessel: cannot evaluate: ")
+    assert err.count("\n") == 1
+
+
 def test_eval_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", *SINC3])  # neither --x nor --definite

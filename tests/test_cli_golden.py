@@ -29,6 +29,18 @@ GOLDEN_RUNS = {
         "--l", "8", "--alpha", "1.2", "--beta", "0.8", "--mu", "2",
         "--x-lo", "4", "--x-hi", "9", "--format", "json"],
     "errata": ["errata"],
+    "sweep_definite": [
+        "sweep", "--n", "0,0.5,1,2,2.5", "--m", "0,1", "--h", "2", "--k", "1",
+        "--l", "3", "--alpha", "1.2", "--beta", "0.8", "--mu", "2",
+        "--definite", "--format", "csv"],
+    "sweep_imaginary": [
+        "sweep", "--n", "0,1,2", "--m", "0", "--m-imaginary", "--h", "1",
+        "--k", "2", "--l", "0", "--alpha", "1.2", "--beta", "0.8", "--mu", "2",
+        "--x", "3", "--format", "json"],
+    "sweep_many_shapes": [
+        "sweep", "--n", "0,1", "--m", "1", "--h", "0:8:9", "--k", "0,8",
+        "--l", "3", "--alpha", "1.2", "--beta", "0.8", "--mu", "2",
+        "--x", "2.5"],
     "errata_json": ["errata", "--format", "json"],
 }
 

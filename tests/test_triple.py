@@ -12,6 +12,8 @@ from tribessel.oracle import QuadConfig, quad_finite, quad_semi_infinite
 from tribessel.sphfun import sph_bessel_j
 from tribessel.triple import (
     _QUARTER,
+    _SHAPE_CACHE_SIZE,
+    _reduce_shape,
     BaseTerm,
     IntegralSpec,
     antiderivative_base,
@@ -149,6 +151,53 @@ def test_reduce_orders_reconstruction_randomized():
             # conditioning-aware: reduction coefficients can exceed the result
             cond = sum(abs(t.coeff) * x**t.p for t in terms)
             assert abs(got - want) <= 1e-13 * (1.0 + cond)
+
+
+def _shape_of(terms):
+    return [(t.coeff, t.kind, t.gamma) for t in terms]
+
+
+@pytest.mark.parametrize("n0, n1", [(0, 3), (-2, 0.5), (2.5, -1)])
+def test_reduce_orders_n_only_shifts_powers(n0, n1):
+    terms0 = reduce_orders(spec(n0, 1, h=2, k=1, l=3, a=1.2, b=0.9, u=0.4))
+    terms1 = reduce_orders(spec(n1, 1, h=2, k=1, l=3, a=1.2, b=0.9, u=0.4))
+    assert _shape_of(terms1) == _shape_of(terms0)
+    assert [t1.p - t0.p for t0, t1 in zip(terms0, terms1)] == \
+        [n1 - n0] * len(terms0)
+
+
+def test_reduce_orders_numpy_scalars_match_plain_types():
+    plain = spec(1, 0.5, h=2, k=1, l=3, a=1.2, b=0.9, u=0.4)
+    typed = spec(np.float64(1), np.float64(0.5), h=np.int64(2), k=np.int64(1),
+                 l=np.int64(3), a=np.float64(1.2), b=np.float64(0.9),
+                 u=np.float64(0.4))
+    _reduce_shape.cache_clear()
+    from_typed = reduce_orders(typed)
+    _reduce_shape.cache_clear()
+    from_plain = reduce_orders(plain)
+    assert from_typed == from_plain
+    assert all(type(t.p) is float and type(t.gamma) is float
+               for t in from_typed)
+    reduce_orders(typed)
+    assert _reduce_shape.cache_info().currsize == 1  # one key for both
+
+
+def test_reduce_orders_returns_a_fresh_list():
+    s = spec(0, 1, h=1, k=2, l=0, a=1.1, b=0.7, u=2.0)
+    first = reduce_orders(s)
+    want = list(first)
+    first.clear()
+    assert reduce_orders(s) == want
+
+
+def test_reduce_orders_after_eviction_matches_first_reduction():
+    specs = [spec(0, 1, h=h, k=1, l=2, a=1.2, b=0.8, u=2.0)
+             for h in range(_SHAPE_CACHE_SIZE + 1)]
+    _reduce_shape.cache_clear()
+    first = [reduce_orders(s) for s in specs]
+    again = reduce_orders(specs[0])
+    assert _reduce_shape.cache_info().misses == len(specs) + 1  # evicted
+    assert again == first[0]
 
 
 # --- base antiderivatives ---------------------------------------------------------
