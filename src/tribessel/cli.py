@@ -3,13 +3,15 @@
 Output is deterministic: floats always use %.12e, rows follow grid order,
 and identical invocations produce byte-identical bytes. Exit codes: 0 ok,
 1 usage error, 2 precondition violation or arithmetic failure (overflow),
-3 comparison failures.
+3 comparison failures. In sweep and compare such a row gets a status cell
+(divergent-precondition, cannot-evaluate) instead and the grid goes on.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 
@@ -82,7 +84,7 @@ def _parse_axis(parser: _Parser, name: str, text: str) -> list[float]:
         parser.error(f"bad grid for --{name}: {exc}")
     if name in _INT_FIELDS:
         for v in vals:
-            if v != int(v):
+            if not math.isfinite(v) or v != int(v):
                 parser.error(f"--{name} takes integer orders, got {v}")
     return vals
 
@@ -218,6 +220,11 @@ _RESULT_HEADER = _SPEC_HEADER + ["value", "method", "err_estimate", "status"]
 _COMPARE_HEADER = _SPEC_HEADER + ["closed_form", "oracle", "abs_diff", "status"]
 
 
+def _no_value(status: str) -> list:
+    """Result cells of a grid row that could not be evaluated."""
+    return [_NULL, _NULL, _NULL, _cell_str(status)]
+
+
 def _cmd_eval(parser: _Parser, args) -> int:
     spec = _specs_from_args(parser, args, grid=False)[0]
     if args.definite and args.x is not None:
@@ -258,8 +265,9 @@ def _cmd_sweep(parser: _Parser, args) -> int:
             cells += [_cell_value(res.value), _cell_str(res.method),
                       _cell_num(res.err_estimate), _cell_str("ok")]
         except _PRECONDITION_ERRORS:
-            cells += [_NULL, _NULL, _NULL,
-                      _cell_str("divergent-precondition")]
+            cells += _no_value("divergent-precondition")
+        except ArithmeticError:
+            cells += _no_value("cannot-evaluate")
         rows.append(cells)
     fmt = "csv" if args.format == "text" else args.format
     _write_output(_render(_RESULT_HEADER, rows, fmt,
@@ -291,9 +299,10 @@ def _cmd_compare(parser: _Parser, args) -> int:
                 closed = eval_definite(spec).value.real
                 oracle = quad_semi_infinite(spec, cfg).value.real
         except _PRECONDITION_ERRORS:
-            cells += [_NULL, _NULL, _NULL,
-                      _cell_str("divergent-precondition")]
-            rows.append(cells)
+            rows.append(cells + _no_value("divergent-precondition"))
+            continue
+        except ArithmeticError:
+            rows.append(cells + _no_value("cannot-evaluate"))
             continue
         diff = abs(closed - oracle)
         tol = max(args.pass_abs_tol, args.pass_rel_tol * abs(oracle))

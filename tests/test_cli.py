@@ -62,14 +62,51 @@ def test_eval_divergent_exits_2(capsys):
     ["compare", "--x-lo", "1e-300", "--x-hi", "1"],
 ])
 def test_overflow_exits_2_with_one_line(capsys, argv):
-    # the reduced x^-11 term's antiderivative x^-10 overflows at x = 1e-300
+    # the reduced x^-11 term's antiderivative x^-10 overflows at x = 1e-300:
+    # eval exits 2 with one line; sweep and compare report the row instead
     code, out, err = run(capsys, [*argv, "--n", "0", "--m", "0", "--h", "0",
                                   "--k", "0", "--l", "8", "--alpha", "1",
-                                  "--beta", "1", "--mu", "1"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("tribessel: cannot evaluate: ")
-    assert err.count("\n") == 1
+                                  "--beta", "1", "--mu", "1",
+                                  "--format", "json"])
+    if argv[0] == "eval":
+        assert code == 2
+        assert out == ""
+        assert err.startswith("tribessel: cannot evaluate: ")
+        assert err.count("\n") == 1
+    else:
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out)
+        assert row["status"] == "cannot-evaluate"
+        assert [v for key, v in row.items()
+                if key not in ("spec", "status")] == [None, None, None]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--x", "1e-300"],
+    ["compare", "--x-lo", "1e-300", "--x-hi", "1"],
+])
+def test_overflow_in_one_row_keeps_the_grid(capsys, argv):
+    # at x = 1e-300 only the l = 8 row overflows (its x^-8 antiderivative)
+    code, out, err = run(capsys, [*argv, "--n", "2", "--m", "1", "--h", "0",
+                                  "--k", "0", "--l", "0,8", "--alpha", "1",
+                                  "--beta", "1", "--mu", "1",
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert [r["spec"]["l"] for r in rows] == [0, 8]
+    assert [r["status"] for r in rows] == [
+        "ok" if argv[0] == "sweep" else "pass", "cannot-evaluate"]
+
+
+@pytest.mark.parametrize("order", ["nan", "inf", "-inf"])
+def test_non_finite_order_is_usage_error(capsys, order):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", f"--h={order}", "--k", "0", "--l", "0", "--n", "0",
+              "--m", "1", "--alpha", "1", "--beta", "1", "--mu", "1",
+              "--x", "1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.endswith(f"--h takes integer orders, got {order}\n")
 
 
 def test_eval_usage_error_exits_1(capsys):

@@ -28,6 +28,10 @@ GOLDEN_RUNS = {
         "compare", "--n", "0,1,2", "--m", "1", "--h", "8", "--k", "8",
         "--l", "8", "--alpha", "1.2", "--beta", "0.8", "--mu", "2",
         "--x-lo", "4", "--x-hi", "9", "--format", "json"],
+    "compare_exponential_bound": [
+        "compare", "--n", "0,0.5", "--m", "0", "--h", "0", "--k", "0,1",
+        "--l", "0", "--alpha", "1.3", "--beta", "1.1", "--mu", "1.5",
+        "--tail-policy", "exponential_bound", "--format", "json"],
     "errata": ["errata"],
     "sweep_definite": [
         "sweep", "--n", "0,0.5,1,2,2.5", "--m", "0,1", "--h", "2", "--k", "1",

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 from tribessel.errors import DivergenceError, DomainError
 from tribessel.expint import si
 from tribessel.oracle import (
+    _BATCH_SEGMENTS,
+    _MAX_SEGMENTS,
     QuadConfig,
     _gk_segment,
+    _gk_segments,
     finite_diff_derivative,
     quad_finite,
     quad_semi_infinite,
@@ -52,6 +56,28 @@ def test_rule_exact_on_high_degree_polynomials():
 def test_rule_error_estimate_nonzero_when_inexact():
     val, err = _gk_segment(lambda x: np.exp(np.sin(9.0 * x)), 0.0, 3.0)
     assert err > 1e-12
+
+
+BATCH_SPECS = {
+    "real": IntegralSpec(n=1.5, m=0.7, h=2, k=1, l=3,
+                         alpha=1.3, beta=1.1, mu=1.5),
+    "m_imaginary": IntegralSpec(n=1, m=0.0, h=0, k=4, l=2, alpha=2.1,
+                                beta=0.9, mu=1.7, m_imaginary=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SPECS))
+def test_batched_rule_matches_single_segment_bits(name):
+    f = integrand(BATCH_SPECS[name])
+    rng = np.random.default_rng(41)
+    lo = rng.uniform(1e-3, 30.0, 200)
+    hi = lo + rng.exponential(2.0, 200) * rng.choice([1e-9, 1e-3, 1.0], 200)
+    vals, errs = _gk_segments(f, lo, hi)
+    for a, b, val, err in zip(lo.tolist(), hi.tolist(), vals, errs):
+        want_val, want_err = _gk_segment(f, a, b)
+        assert type(val) is complex and type(err) is float
+        assert (val, err) == (want_val, want_err)
+    assert any(v.imag != 0.0 for v in vals) == (name == "m_imaginary")
 
 
 # --- quad_finite ---------------------------------------------------------------
@@ -99,6 +125,79 @@ def test_finite_refinement_monotone_toward_reference():
     assert all(b <= a for a, b in zip(bands, bands[1:]))
     assert all(d <= b for d, b in zip(diffs, bands))
     assert diffs[-1] <= diffs[0]
+
+
+def _quad_finite_per_segment(f, a, b, config, points):
+    """quad_finite's heap rules with one integrand call per segment."""
+    edges = [a] + sorted(p for p in points if a < p < b) + [b]
+    heap, done, seq, total, err_total = [], [], 0, 0j, 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err = _gk_segment(f, lo, hi)
+        heapq.heappush(heap, (-err, seq, lo, hi, val, 0))
+        seq += 1
+        total += val
+        err_total += err
+    bisections = 0
+    while heap:
+        tol = max(config.abs_tol, config.rel_tol * abs(total))
+        if err_total <= tol or seq >= _MAX_SEGMENTS:
+            break
+        neg_err, _, lo, hi, val, depth = heapq.heappop(heap)
+        if depth >= config.max_depth:
+            done.append((lo, hi, val, -neg_err))
+            continue
+        mid = 0.5 * (lo + hi)
+        v1, e1 = _gk_segment(f, lo, mid)
+        v2, e2 = _gk_segment(f, mid, hi)
+        bisections += 1
+        total += v1 + v2 - val
+        err_total += e1 + e2 - (-neg_err)
+        heapq.heappush(heap, (-e1, seq, lo, mid, v1, depth + 1))
+        seq += 1
+        heapq.heappush(heap, (-e2, seq, mid, hi, v2, depth + 1))
+        seq += 1
+    segments = done + [(lo, hi, val, -ne) for ne, _, lo, hi, val, _ in heap]
+    segments.sort(key=lambda s: s[0])
+    value = sum((s[2] for s in segments), 0j)
+    err = sum(s[3] for s in segments)
+    converged = err <= max(config.abs_tol, config.rel_tol * abs(value))
+    return value, err, converged, bisections
+
+
+class _CountingIntegrand:
+    def __init__(self, f):
+        self.f = f
+        self.sizes = []
+
+    def __call__(self, x):
+        self.sizes.append(np.size(x))
+        return self.f(x)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SPECS))
+def test_finite_batched_rounds_match_per_segment_reference(name):
+    # 2 * _BATCH_SEGMENTS + 1 initial segments: two full chunks and one more
+    f = _CountingIntegrand(integrand(BATCH_SPECS[name]))
+    # the wide first cell [0.5, 20] needs bisecting, the rest are narrow
+    a, b = 0.5, 60.0
+    points = np.linspace(20.0, b, 2 * _BATCH_SEGMENTS + 1)[:-1].tolist()
+    cfg = QuadConfig(abs_tol=1e-13, rel_tol=1e-13)
+    r = quad_finite(f, a, b, cfg, points=points)
+    value, err, converged, bisections = _quad_finite_per_segment(
+        f.f, a, b, cfg, points)
+    assert bisections > 0
+    assert (r.value, r.err_estimate, r.converged) == (value, err, converged)
+    # one call per initial chunk, then one per bisection
+    assert f.sizes == [15 * _BATCH_SEGMENTS] * 2 + [15] + [30] * bisections
+
+
+def test_finite_integrand_calls_bounded_by_batch_size():
+    f = _CountingIntegrand(np.cos)
+    points = np.linspace(0.0, 100.0, 3 * _BATCH_SEGMENTS + 40)
+    r = quad_finite(f, 0.0, 100.0, points=points)
+    assert abs(r.value - math.sin(100.0)) < 1e-12
+    assert max(f.sizes) == 15 * _BATCH_SEGMENTS
+    assert sum(f.sizes) == 15 * (3 * _BATCH_SEGMENTS + 39)
 
 
 def test_finite_max_depth_flag_not_exception():
