@@ -1,6 +1,5 @@
 """Closed-form triple spherical-Bessel integrals with a quadrature cross-check."""
 
-from .errata import ErrataEntry, build_errata
 from .errors import (
     BranchCutError,
     DivergenceError,
@@ -47,6 +46,16 @@ from .triple import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # Only the errata report needs these, so its module loads on first use.
+    if name in ("ErrataEntry", "build_errata"):
+        from . import errata
+
+        return getattr(errata, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BaseTerm",

@@ -17,7 +17,6 @@ import sys
 
 import numpy as np
 
-from .errata import build_errata
 from .errors import (
     BranchCutError,
     DivergenceError,
@@ -334,6 +333,8 @@ def _cmd_ei_table(parser: _Parser, args) -> int:
 
 
 def _cmd_errata(parser: _Parser, args) -> int:
+    from .errata import build_errata  # loaded here: no other command needs it
+
     entries = build_errata()
     if args.format in ("csv", "json"):
         rows = []

@@ -11,7 +11,9 @@ All complex powers and logarithms take the principal branch.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 
 from .errors import BranchCutError, DomainError
 
@@ -24,6 +26,16 @@ _CF_TINY = 1e-300
 
 def _as_complex(z) -> complex:
     return complex(z)
+
+
+def _as_index(v) -> int | None:
+    """v as a Python int if it is an int or a numpy integer, else None (bools too)."""
+    if isinstance(v, bool):
+        return None
+    try:
+        return operator.index(v)
+    except TypeError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +116,27 @@ def e1_complex(z: complex) -> complex:
     return _en_cf(1, z)
 
 
+@functools.lru_cache(maxsize=256)
+def _harmonic(n: int) -> float:
+    """H_{n-1} = sum_{k=1}^{n-1} 1/k, summed in increasing k."""
+    return sum(1.0 / k for k in range(1, n))
+
+
 def _en_series(n: int, z: complex) -> complex:
     """Small-|z| series for E_n(z), integer n >= 2 (A&S-style expansion)."""
-    harm = sum(1.0 / k for k in range(1, n))
-    lead = (-z) ** (n - 1) / math.factorial(n - 1)
-    total = lead * (-cmath.log(z) - EULER_GAMMA + harm)
+    mz = -z
+    az = abs(z)
+    lead = mz ** (n - 1) / math.factorial(n - 1)
+    total = lead * (-cmath.log(z) - EULER_GAMMA + _harmonic(n))
     term = complex(1.0)  # (-z)^m / m!
-    for m in range(0, int(3 * abs(z)) + 160):
+    for m in range(0, int(3 * az) + 160):
         if m > 0:
-            term *= -z / m
+            term *= mz / m
         if m == n - 1:
             continue
         piece = -term / (m - n + 1)
         total += piece
-        if m > abs(z) and abs(piece) <= _SERIES_EPS * max(abs(total), 1e-30):
+        if m > az and abs(piece) <= _SERIES_EPS * max(abs(total), 1e-30):
             return total
     raise ArithmeticError(f"E_{n} series did not converge at z={z}")
 
@@ -128,8 +147,10 @@ def exp_integral_en(n: int, z: complex) -> complex:
     E_0(z) = e^{-z}/z; E_1 by series/continued fraction; n >= 2 by a small-|z|
     series or the continued fraction. z must avoid the negative real axis.
     """
-    if not isinstance(n, int) or n < 0:
+    order = _as_index(n)
+    if order is None or order < 0:
         raise DomainError(f"E_n order must be an integer >= 0, got {n!r}")
+    n = order
     z = _as_complex(z)
     if z.imag == 0.0 and z.real <= 0.0:
         if z == 0 and n >= 2:
@@ -247,8 +268,10 @@ def upper_incomplete_gamma(s: int, z: complex) -> complex:
 
     Uses the exact finite sum Gamma(s, z) = (s-1)! e^{-z} sum_{k=0}^{s-1} z^k/k!.
     """
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
+    order = _as_index(s)
+    if order is None or order < 1:
         raise DomainError(f"first argument must be an integer >= 1, got {s!r}")
+    s = order
     z = _as_complex(z)
     total = complex(1.0)
     term = complex(1.0)
@@ -314,8 +337,10 @@ def z_antiderivative(n: int, c: complex, x: float, principal_value: bool = True)
     principal value (Ei-based) is returned unless principal_value=False.
     c = 0 degenerates to the pure power x^{n+1}/(n+1), or log x at n = -1.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
+    power = _as_index(n)
+    if power is None:
         raise DomainError(f"power must be an integer, got {n!r}")
+    n = power
     x = float(x)
     if x <= 0.0 or not math.isfinite(x):
         raise DomainError(f"argument must be > 0, got {x!r}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -158,23 +159,30 @@ def _reduce_shape(h: int, k: int, l: int, alpha: float, beta: float,
     sym_a = _j_symbols(h, alpha)
     sym_b = _j_symbols(k, beta)
     sym_c = _j_symbols(l, mu)
+    # trig_decompose depends only on the kind pattern, so each occurring
+    # pattern is expanded once, with gamma canonicalized to >= 0 (a sine's
+    # sign goes into its weight; -(c*w) == c*(-w) exactly) and -0.0 to 0.0.
+    table = {}
+    for kinds in itertools.product(*({kd for _, kd in sym}
+                                     for sym in (sym_a, sym_b, sym_c))):
+        terms = table[kinds] = []
+        for w, kd, g in trig_decompose(alpha, beta, mu, kinds=kinds):
+            if g < 0.0:
+                g = -g
+                if kd == "sin":
+                    w = -w
+            elif g == 0.0:
+                g = 0.0
+            terms.append((w, kd, g))
     acc: dict = {}
     for (qa, ka), ca in sym_a.items():
         for (qb, kb), cb in sym_b.items():
             for (qc, kc), cc in sym_c.items():
                 cprod = ca * cb * cc
                 d = qa + qb + qc
-                for w, kd, g in trig_decompose(alpha, beta, mu,
-                                               kinds=(ka, kb, kc)):
-                    coeff = cprod * w
-                    if g < 0.0:
-                        g = -g
-                        if kd == "sin":
-                            coeff = -coeff
-                    elif g == 0.0:
-                        g = 0.0  # normalize -0.0
+                for w, kd, g in table[ka, kb, kc]:
                     key = (d, kd, g)
-                    acc[key] = acc.get(key, 0.0) + coeff
+                    acc[key] = acc.get(key, 0.0) + cprod * w
     return tuple((d, kd, g, complex(c))
                  for (d, kd, g), c in sorted(acc.items()) if c != 0.0)
 

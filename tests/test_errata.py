@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import tribessel
 from tribessel.errata import build_errata
 
 
@@ -43,3 +49,18 @@ def test_sine_identity_order_unity_residual():
 def test_entries_fully_populated():
     for e in build_errata():
         assert e.ident and e.context and e.printed and e.corrected and e.point
+
+
+def test_package_and_cli_import_leave_errata_unloaded():
+    src = str(Path(tribessel.__file__).resolve().parents[1])
+    code = (
+        "import sys, tribessel, tribessel.cli\n"
+        "assert 'tribessel.errata' not in sys.modules, 'loaded eagerly'\n"
+        "from tribessel import ErrataEntry, build_errata\n"
+        "assert build_errata.__module__ == 'tribessel.errata'\n"
+        "assert ErrataEntry.__module__ == 'tribessel.errata'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -6,8 +6,11 @@ import pytest
 
 from tribessel.errors import BranchCutError, DomainError
 from tribessel.expint import (
+    EULER_GAMMA,
+    _SERIES_EPS,
     _ei_asymptotic,
     _ei_series,
+    _en_series,
     ci,
     e1_complex,
     ei,
@@ -205,6 +208,63 @@ def test_en_series_cf_consistency():
             lhs = exp_integral_en(n + 1, z)
             rhs = (cmath.exp(-z) - z * exp_integral_en(n, z)) / n
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def _en_series_reference(n, z):
+    """_en_series with H_{n-1}, -z and |z| recomputed inline (the reference
+    for the per-n harmonic cache and the per-call constants)."""
+    harm = sum(1.0 / k for k in range(1, n))
+    lead = (-z) ** (n - 1) / math.factorial(n - 1)
+    total = lead * (-cmath.log(z) - EULER_GAMMA + harm)
+    term = complex(1.0)
+    for m in range(0, int(3 * abs(z)) + 160):
+        if m > 0:
+            term *= -z / m
+        if m == n - 1:
+            continue
+        piece = -term / (m - n + 1)
+        total += piece
+        if m > abs(z) and abs(piece) <= _SERIES_EPS * max(abs(total), 1e-30):
+            return total
+    raise ArithmeticError
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_en_series_matches_inline_reference_bit_for_bit():
+    # |z| <= 3 on 16 rays between the axes, four per quadrant, plus the
+    # positive real axis (the negative one is the branch cut)
+    zs = [cmath.rect(r, math.pi * (2 * j + 1) / 16)
+          for r in (1e-3, 0.3, 1.0, 2.2, 3.0) for j in range(16)]
+    zs += [complex(1.5), complex(3.0)]
+    for n in range(2, 31):
+        for z in zs:
+            assert _bits(_en_series(n, z)) == _bits(_en_series_reference(n, z)), (n, z)
+
+
+_ORDER_CALLS = {
+    "exp_integral_en": lambda n: exp_integral_en(n, 1 + 1j),
+    "upper_incomplete_gamma": lambda n: upper_incomplete_gamma(n, 1.0),
+    "z_antiderivative": lambda n: z_antiderivative(n, 1j, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_CALLS))
+@pytest.mark.parametrize("cast", [np.int64, np.int32, np.uint8])
+def test_numpy_integer_orders_match_int(name, cast):
+    call = _ORDER_CALLS[name]
+    for n in (1, 2):
+        assert _bits(call(cast(n))) == _bits(call(n))
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_CALLS))
+@pytest.mark.parametrize("bad", [True, False, 2.0, np.float64(2.0), "2"],
+                         ids=["True", "False", "float", "np.float64", "str"])
+def test_bool_and_non_integer_orders_rejected(name, bad):
+    with pytest.raises(DomainError, match="integer"):
+        _ORDER_CALLS[name](bad)
 
 
 # --- si / ci ----------------------------------------------------------------

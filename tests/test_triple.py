@@ -13,6 +13,7 @@ from tribessel.sphfun import sph_bessel_j
 from tribessel.triple import (
     _QUARTER,
     _SHAPE_CACHE_SIZE,
+    _j_symbols,
     _reduce_shape,
     BaseTerm,
     IntegralSpec,
@@ -198,6 +199,67 @@ def test_reduce_orders_after_eviction_matches_first_reduction():
     again = reduce_orders(specs[0])
     assert _reduce_shape.cache_info().misses == len(specs) + 1  # evicted
     assert again == first[0]
+
+
+def _reduce_shape_reference(h, k, l, alpha, beta, mu):
+    """_reduce_shape as one trig_decompose call per symbol triple, with the
+    sign flip and -0.0 fix applied to every term (the reference for the
+    per-pattern table)."""
+    sym_a = _j_symbols(h, alpha)
+    sym_b = _j_symbols(k, beta)
+    sym_c = _j_symbols(l, mu)
+    acc: dict = {}
+    for (qa, ka), ca in sym_a.items():
+        for (qb, kb), cb in sym_b.items():
+            for (qc, kc), cc in sym_c.items():
+                cprod = ca * cb * cc
+                d = qa + qb + qc
+                for w, kd, g in trig_decompose(alpha, beta, mu,
+                                               kinds=(ka, kb, kc)):
+                    coeff = cprod * w
+                    if g < 0.0:
+                        g = -g
+                        if kd == "sin":
+                            coeff = -coeff
+                    elif g == 0.0:
+                        g = 0.0
+                    key = (d, kd, g)
+                    acc[key] = acc.get(key, 0.0) + coeff
+    return tuple((d, kd, g, complex(c))
+                 for (d, kd, g), c in sorted(acc.items()) if c != 0.0)
+
+
+def _with_signs(shape):
+    """The reduction with the sign bit of every float, so -0.0 != 0.0."""
+    return [(d, kd, g, math.copysign(1.0, g), c, math.copysign(1.0, c.real),
+             math.copysign(1.0, c.imag)) for d, kd, g, c in shape]
+
+
+def _hoist_shapes():
+    rng = np.random.default_rng(5150)
+    shapes = [(*(int(o) for o in rng.integers(0, 9, size=3)),
+               *(float(v) for v in rng.uniform(0.3, 3.0, size=3)))
+              for _ in range(160)]
+    # gamma = 0 (alpha + beta = mu, exact and rounded), all frequencies
+    # equal, and repeated |gamma| with opposite signs (alpha = beta; 2, 1, 1)
+    for freqs in ((1.25, 0.5, 1.75), (0.1, 0.2, 0.3), (0.7, 0.7, 0.7),
+                  (1.1, 1.1, 0.4), (2.0, 1.0, 1.0)):
+        shapes += [(*(int(o) for o in rng.integers(0, 9, size=3)), *freqs)
+                   for _ in range(8)]
+    return shapes
+
+
+def test_reduce_shape_matches_per_triple_reference_bit_for_bit():
+    shapes = _hoist_shapes()
+    zero_gamma = 0
+    for shape in shapes:
+        got = _reduce_shape.__wrapped__(*shape)
+        want = _reduce_shape_reference(*shape)
+        assert got == want, shape
+        assert _with_signs(got) == _with_signs(want), shape
+        zero_gamma += any(g == 0.0 for _, _, g, _ in got)
+    assert len(shapes) == 200
+    assert zero_gamma >= 16  # the degenerate shapes reach the -0.0 fix
 
 
 # --- base antiderivatives ---------------------------------------------------------
