@@ -64,7 +64,7 @@ general = eval_indefinite(IntegralSpec(n=2, m=1.0, h=0, k=0, l=0,
 print(f"\nh=k=l=0 cross-check at x = 3: |direct - general| = "
       f"{abs(direct - general):.2e}")
 
-# ---- half-integer exponents route through the incomplete gamma ---------------
+# ---- a non-integer exponent takes the same definite-integral path ------------
 s_half = IntegralSpec(n=0.5, m=1.0, h=0, k=0, l=0,
                       alpha=1.3, beta=0.7, mu=2.1)
 res_half = eval_definite(s_half)

@@ -1,7 +1,8 @@
 """Generate frozen reference values for the test suite with mpmath.
 
-Run once by hand; the printed literals are pasted into tests. Not a
-runtime dependency of the package or the tests.
+Run by hand (python3 scripts/gen_reference_values.py); the printed
+literals are pasted into tests. CI runs it too, so it keeps working. mpmath
+is the dev extra, not a runtime dependency of the package or the tests.
 """
 
 import mpmath as mp
@@ -50,3 +51,76 @@ f = lambda x: (mp.sin(x) / x) ** 3 if x != 0 else mp.mpf(1)
 show("int (sin x/x)^3 [0,inf)", mp.quadosc(f, [0, mp.inf], period=2 * mp.pi))
 g = lambda x: x**2 * mp.exp(-x) * sph_j(0, x) ** 3
 show("int x^2 e^-x j0^3", mp.quad(g, [0, mp.inf]))
+
+
+# definite integrals near integer n, for tests/test_triple.py: each is the
+# term-by-term sum Gamma(p+1) (m - i sigma)^(-p-1) over the expansion of
+# j_l(g x) into x^-(k+1) e^(+-i g x) (DLMF 10.49.1). At 40 digits the
+# cancelling 1/r Gamma poles (r down to 1e-11) still leave far more than
+# the 17 digits printed.
+NEAR_INTEGER_SHAPES = {
+    "a": (2, 1, 3, 1.2, 0.8, 2.0),
+    "b": (1, 3, 0, 0.7, 1.3, 1.1),
+    "c": (0, 0, 1, 1.0, 1.0, 2.0),
+    "zero": (0, 0, 0, 1.2, 0.8, 2.0),
+}
+NEAR_INTEGER_OFFSETS = (-1e-11, 1e-11, -1e-9, 1e-9, -1e-7, 1e-7, 1e-5, 1e-3)
+
+
+def sph_j_exponentials(l, g):
+    """j_l(g x) as [(c, q, s)]: the sum of c x^q e^(i s g x)."""
+    out = []
+    for k in range(l + 1):
+        a = (mp.mpc(0, -1) ** (l + 1) * mp.mpc(0, 1) ** k * mp.factorial(l + k)
+             / (mp.factorial(k) * mp.factorial(l - k) * 2**k * g ** (k + 1) * 2))
+        out += [(a, -k - 1, 1), (mp.conj(a), -k - 1, -1)]
+    return out
+
+
+def definite_by_terms(n, m, h, k, l, alpha, beta, mu):
+    """int_0^inf x^n e^(-mx) j_h(alpha x) j_k(beta x) j_l(mu x) dx."""
+    n, m, alpha, beta, mu = (mp.mpf(v) for v in (n, m, alpha, beta, mu))
+    total = mp.mpc(0)
+    for ca, qa, sa in sph_j_exponentials(h, alpha):
+        for cb, qb, sb in sph_j_exponentials(k, beta):
+            for cc, qc, sc in sph_j_exponentials(l, mu):
+                sigma = sa * alpha + sb * beta + sc * mu
+                if m == 0 and sigma == 0:
+                    continue  # scaleless: x^p alone has no finite continuation
+                p1 = n + qa + qb + qc + 1
+                total += ca * cb * cc * mp.gamma(p1) * mp.mpc(m, -sigma) ** (-p1)
+    return total.real
+
+
+def near_integer_cases():
+    for shape in ("a", "b"):
+        for m in (0.5, 1.0, 0.0):
+            for n0 in (0, 1, 2):
+                for delta in NEAR_INTEGER_OFFSETS:
+                    if m > 0 or n0 + delta < 2:
+                        yield shape, m, n0 + delta
+        yield shape, 0.0, 1.9
+        yield shape, 0.0, 1.99
+        # n one and two ulps inside 0.25 of an integer, where some p + 1
+        # round to a quarter: every term must still take its finite part
+        yield shape, 1.0, 1.2499999999999998
+        yield shape, 1.0, 1.2499999999999996
+    # alpha + beta = mu with h + k + l odd: the zero frequency leaves a
+    # non-oscillating x^(n-3) tail, so at m = 0 the pole at n = 2 is genuine
+    for n in (1.8, 1.99) + tuple(2 + d for d in NEAR_INTEGER_OFFSETS if d < 0):
+        yield "c", 0.0, n
+    yield "zero", 1.0, -0.8  # a genuine pole at n = -1
+
+
+# printed as it stands in tests/test_triple.py, which CI diffs against it
+print("# definite integrals near integer n")
+print("NEAR_INTEGER_SHAPES = {")
+for shape, args in NEAR_INTEGER_SHAPES.items():
+    print(f'    "{shape}": {args!r},')
+print("}")
+print("NEAR_INTEGER_REFS = [")
+for shape, m, n in near_integer_cases():
+    h, k, l, alpha, beta, mu = NEAR_INTEGER_SHAPES[shape]
+    value = definite_by_terms(n, m, h, k, l, alpha, beta, mu)
+    print(f'    ("{shape}", {m!r}, {n!r}, {mp.nstr(value, 17)}),')
+print("]")

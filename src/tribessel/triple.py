@@ -5,9 +5,10 @@ sum of elementary base terms coeff * x^p * {sin,cos}(gamma x) with combined
 frequencies gamma = +-alpha +- beta +- mu. Each base term has an exact
 antiderivative through incomplete-gamma / exponential-integral functions
 (eval_indefinite), and an exact semi-infinite value through
-Gamma(p+1) (m - i gamma)^{-(p+1)} (eval_definite). The all-orders-zero case
-also has a direct hard-coded assembly (special_case_000) kept as an
-independent code path for cross-validation.
+Gamma(p+1) (m - i gamma)^{-(p+1)} for any real n (eval_definite), where a
+Gamma pole that cancels across the terms contributes its finite part. The
+all-orders-zero case also has a direct hard-coded assembly (special_case_000)
+kept as an independent code path for cross-validation.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from .errors import (
     SingularCombinationError,
     UnsupportedPowerError,
 )
-from .expint import _lower_gamma_int, exp_integral_en, upper_incomplete_gamma, z_antiderivative
+from .expint import _harmonic, _lower_gamma_int, exp_integral_en, z_antiderivative
 from .sphfun import _jl_vec
-
-_EPS_OFFSET = 1e-4  # symmetric offset around integer n in eval_definite
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ def _reduce_shape(h: int, k: int, l: int, alpha: float, beta: float,
     sym_c = _j_symbols(l, mu)
     # trig_decompose depends only on the kind pattern, so each occurring
     # pattern is expanded once, with gamma canonicalized to >= 0 (a sine's
-    # sign goes into its weight; -(c*w) == c*(-w) exactly) and -0.0 to 0.0.
+    # sign goes into its weight; -(c*w) == c*(-w) exactly).
     table = {}
     for kinds in itertools.product(*({kd for _, kd in sym}
                                      for sym in (sym_a, sym_b, sym_c))):
@@ -171,8 +170,6 @@ def _reduce_shape(h: int, k: int, l: int, alpha: float, beta: float,
                 g = -g
                 if kd == "sin":
                     w = -w
-            elif g == 0.0:
-                g = 0.0
             terms.append((w, kd, g))
     acc: dict = {}
     for (qa, ka), ca in sym_a.items():
@@ -378,54 +375,52 @@ def _cexpm1(z: complex) -> complex:
                    (em + 1.0) * math.sin(z.imag))
 
 
-def _gamma_power(p1: float, w: complex) -> complex:
-    """Gamma(p1) * w^(-p1), stable near the Gamma poles.
+def _gamma_power(p1: float, w: complex, finite_part: bool) -> complex:
+    """Gamma(p1) * w^(-p1), or its finite part near a Gamma pole.
 
-    math.gamma's reflection formula loses ~|p1| * 1e-16 / |p1 - round(p1)|
-    relative digits near negative integers (sin(pi p1) argument rounding);
-    within 0.25 of a pole the product form Gamma(1+r) / (r q! prod(1 - r/i))
-    is used instead.
+    Where p1 rounds to >= 1 or lies 0.25 or more from a pole, this is
+    math.gamma times the principal power. Near a pole -q, math.gamma's
+    reflection formula loses ~|p1| * 1e-16 / |r| relative digits, so with
+    r = p1 + q and K = (-1)^q w^q / q! the product form is used:
+
+        Gamma(-q+r) w^(q-r) = Gamma(1+r) K expm1(h)/r + Gamma(1+r) K/r,
+        h(r) = -sum_{i<=q} log1p(-r/i) - r log w.
+
+    With finite_part the pole part Gamma(1+r) K/r is dropped; at r = 0 the
+    rest has the limit K (H_q - log w). The caller sets finite_part once
+    for a sum whose terms share r and whose K add up to a zero residue, so
+    the dropped parts cancel exactly (or _definite_term puts them back).
+    Every term of that sum then takes the product form, even where
+    rounding p1 has put its r on +-0.25.
     """
     logw = cmath.log(w)
     near = round(p1)
     r = p1 - near
-    if near >= 1 or abs(r) >= 0.25:
+    if near >= 1 or (abs(r) >= 0.25 and not finite_part):
         return math.gamma(p1) * cmath.exp(-p1 * logw)
-    if r == 0.0:
-        raise SingularCombinationError(f"Gamma pole at p+1 = {p1}")
     q = -int(near)
-    lg = complex(
-        math.lgamma(1.0 + r) - sum(math.log1p(-r / i) for i in range(1, q + 1))
-    ) - r * logw
-    sign = -1.0 if q % 2 else 1.0
-    return sign / math.factorial(q) * w ** q * cmath.exp(lg) / r
+    k = (-1.0 if q % 2 else 1.0) / math.factorial(q) * w ** q
+    if r == 0.0:
+        if not finite_part:
+            raise SingularCombinationError(f"Gamma pole at p+1 = {p1}")
+        return k * (_harmonic(q + 1) - logw)
+    h = complex(-sum(math.log1p(-r / i) for i in range(1, q + 1))) - r * logw
+    e = _cexpm1(h) if finite_part else cmath.exp(h)
+    return math.gamma(1.0 + r) * k * e / r
 
 
-def _pole_pair_avg(q: int, w: complex, eps: float) -> complex:
-    """[M(eps) + M(-eps)] / 2 for M(r) = Gamma(-q+r) * w^(q-r).
-
-    The 1/r poles cancel analytically: M(r) = (-1)^q/q! w^q exp(g(r))/r with
-    g(0) = 0, so the pair average is (-1)^q/q! w^q [expm1(g) - expm1(g-)]/2eps.
-    """
-    logw = cmath.log(w)
-
-    def g(r: float) -> complex:
-        s = math.lgamma(1.0 + r) - sum(
-            math.log1p(-r / i) for i in range(1, q + 1)
-        )
-        return complex(s) - r * logw
-
-    d = (_cexpm1(g(eps)) - _cexpm1(g(-eps))) / (2.0 * eps)
-    sign = -1.0 if q % 2 else 1.0
-    return sign / math.factorial(q) * w ** q * d
-
-
-def _definite_term(p: float, m: float, gamma: float, kind: str) -> float:
+def _definite_term(p: float, m: float, gamma: float, kind: str,
+                   finite_part: bool) -> float:
     """Analytic continuation of int_0^inf x^p e^{-mx} kind(gamma x) dx.
 
-    Gamma(p+1) * Im/Re[(m - i gamma)^{-(p+1)}]; the degenerate gamma = 0
-    cosine term with m = 0 takes the scaleless continuation 0 (the genuine
-    m -> 0+ limit of Gamma(p+1) m^{-p-1} for the p < -1 powers that occur).
+    Gamma(p+1) * Im/Re[(m - i gamma)^{-(p+1)}], with finite_part passed on
+    to _gamma_power; the degenerate gamma = 0 cosine term with m = 0 takes
+    the scaleless continuation 0 (the genuine m -> 0+ limit of
+    Gamma(p+1) m^{-p-1} for the p < -1 powers that occur). Under finite_part
+    with p + 1 = r near 0 it returns -Gamma(1+r)/r instead: the pole parts
+    the other terms dropped, whose K add up to minus this term's K = 1.
+    That is the genuine pole at n = 2 of an m = 0 integral with a
+    non-oscillating x^(n-3) tail.
     """
     if gamma == 0.0:
         if kind == "sin":
@@ -435,46 +430,28 @@ def _definite_term(p: float, m: float, gamma: float, kind: str) -> float:
                 raise SingularCombinationError(
                     "pure 1/x term with m = 0 has no finite continuation"
                 )
+            if finite_part and round(p) == -1:
+                r = p + 1.0
+                return -math.gamma(1.0 + r) / r
             return 0.0
-    val = _gamma_power(p + 1.0, complex(m, -gamma))
+    val = _gamma_power(p + 1.0, complex(m, -gamma), finite_part)
     return val.imag if kind == "sin" else val.real
-
-
-def _definite_sym_avg(terms: list[BaseTerm], m: float, eps: float) -> float:
-    """[F(n+eps) + F(n-eps)] / 2 with per-term pole cancellation.
-
-    Shifting n by r only shifts each power p by r, so the symmetric pair is
-    combined term by term; terms whose Gamma(p+1) sits on a pole use the
-    analytically cancelled form.
-    """
-    total = 0.0
-    for t in terms:
-        gamma = float(t.gamma)
-        if gamma == 0.0:
-            if t.kind == "sin" or m == 0.0:
-                continue
-        w = complex(m, -gamma)
-        p1 = float(t.p) + 1.0  # integer-valued
-        if p1 >= 1.0:
-            logw = cmath.log(w)
-            val = 0.5 * (
-                math.gamma(p1 + eps) * cmath.exp(-(p1 + eps) * logw)
-                + math.gamma(p1 - eps) * cmath.exp(-(p1 - eps) * logw)
-            )
-        else:
-            val = _pole_pair_avg(int(round(-p1)), w, eps)
-        total += t.coeff.real * (val.imag if t.kind == "sin" else val.real)
-    return total
 
 
 def eval_definite(spec: IntegralSpec) -> EvalResult:
     """Definite integral int_0^inf x^n e^{-mx} j_h j_k j_l dx in closed form.
 
     Convergence needs n > -1 at the origin and (m > 0) or (m = 0 with n < 2)
-    at infinity. The Gamma(p+1) prefactors have poles at integer n, so
-    integer n is evaluated by a symmetric offset n +- eps (eps = 1e-4) with
-    Richardson extrapolation; non-integer n evaluates the prefactors
-    directly.
+    at infinity; every such n takes the same term-by-term sum. Within 0.25
+    of an integer n0 >= 0 the terms near Gamma poles contribute their finite
+    parts (_gamma_power). The dropped pole parts add up to Gamma(1+r)/r
+    times sum coeff * K, the x^-1 coefficient of the integrand's small-x
+    expansion at n0, which is zero. With m > 0 that makes the residue zero:
+    the poles in n lie at n <= -1 - h - k - l. With m = 0 the scaleless
+    gamma = 0 term takes no part in the sum, and a non-oscillating x^(n-3)
+    tail makes n = 2 a genuine pole; _definite_term puts it back. At n0 = -1
+    the pole is genuine for h = k = l = 0, so n in (-1, -0.75) keeps the
+    full Gamma prefactors.
     """
     if spec.m_imaginary:
         raise DivergenceError(
@@ -487,20 +464,17 @@ def eval_definite(spec: IntegralSpec) -> EvalResult:
         raise DivergenceError(f"needs n > -1 at the origin, got n={n}")
     if m == 0.0 and n >= 2.0:
         raise DivergenceError(f"m = 0 needs n < 2 at infinity, got n={n}")
-    if abs(n - round(n)) > 1e-12:
-        value = 0.0
-        for term in reduce_orders(spec):
-            value += term.coeff.real * _definite_term(
-                float(term.p), m, float(term.gamma), term.kind
-            )
-        err = abs(value) * 5e-14 + 1e-300
-        return EvalResult(value=complex(value), method="closed_form", err_estimate=err)
-    terms = reduce_orders(spec)
-    eps = _EPS_OFFSET
-    a1 = _definite_sym_avg(terms, m, eps)
-    a2 = _definite_sym_avg(terms, m, eps / 2)
-    value = (4.0 * a2 - a1) / 3.0
-    err = abs(a2 - a1) * 1e-7 + abs(value) * 1e-13 + 1e-300
-    return EvalResult(
-        value=complex(value), method="closed_form_richardson", err_estimate=err
-    )
+    n0 = round(n)
+    finite_part = n0 >= 0 and abs(n - n0) < 0.25
+    value = size = 0.0
+    for term in reduce_orders(spec):
+        p = float(term.p)
+        t = term.coeff.real * _definite_term(
+            p, m, float(term.gamma), term.kind, finite_part
+        )
+        value += t
+        size += (2.0 + abs(p)) * abs(t)
+    # Gamma(p+1) w^{-(p+1)} carries ~(2 + |p|) roundings, so cancellation
+    # across the terms shows in size rather than in |value|
+    err = max(abs(value) * 5e-14, size * 4.4e-16) + 1e-300
+    return EvalResult(value=complex(value), method="closed_form", err_estimate=err)

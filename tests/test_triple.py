@@ -259,7 +259,7 @@ def test_reduce_shape_matches_per_triple_reference_bit_for_bit():
         assert _with_signs(got) == _with_signs(want), shape
         zero_gamma += any(g == 0.0 for _, _, g, _ in got)
     assert len(shapes) == 200
-    assert zero_gamma >= 16  # the degenerate shapes reach the -0.0 fix
+    assert zero_gamma >= 16  # the degenerate shapes reach gamma = 0
 
 
 # --- base antiderivatives ---------------------------------------------------------
@@ -444,6 +444,176 @@ def test_definite_integer_continuity(s):
 
     richardson = (4.0 * offset_avg(5e-5) - offset_avg(1e-4)) / 3.0
     assert abs(exact - richardson) <= 1e-6 * (1.0 + abs(exact))
+
+
+# (shape, m, n, value) from scripts/gen_reference_values.py: n within 1e-11 to
+# 1e-3 of 0, 1 and 2, where Gamma poles cancel, n just inside 0.25 of 1, and
+# two genuine poles: n -> 2 at m = 0 where a zero frequency leaves a
+# non-oscillating tail (shape c), and n = -0.8 at h=k=l=0 next to n = -1
+NEAR_INTEGER_SHAPES = {
+    "a": (2, 1, 3, 1.2, 0.8, 2.0),
+    "b": (1, 3, 0, 0.7, 1.3, 1.1),
+    "c": (0, 0, 1, 1.0, 1.0, 2.0),
+    "zero": (0, 0, 0, 1.2, 0.8, 2.0),
+}
+NEAR_INTEGER_REFS = [
+    ("a", 0.5, -1e-11, 0.012629343281817231),
+    ("a", 0.5, 1e-11, 0.012629343282003554),
+    ("a", 0.5, -1e-09, 0.012629343272594245),
+    ("a", 0.5, 1e-09, 0.01262934329122654),
+    ("a", 0.5, -1e-07, 0.012629342350295689),
+    ("a", 0.5, 1e-07, 0.012629344213525172),
+    ("a", 0.5, 1e-05, 0.012629436443763405),
+    ("a", 0.5, 0.001, 0.012638663219044629),
+    ("a", 0.5, 0.99999999999, 0.027070684003329692),
+    ("a", 0.5, 1.00000000001, 0.027070684003754275),
+    ("a", 0.5, 0.999999999, 0.027070683982312836),
+    ("a", 0.5, 1.000000001, 0.027070684024771133),
+    ("a", 0.5, 0.9999999, 0.027070681880627241),
+    ("a", 0.5, 1.0000001, 0.027070686126456905),
+    ("a", 0.5, 1.00001, 0.027070896295908893),
+    ("a", 0.5, 1.001, 0.027091921991553195),
+    ("a", 0.5, 1.99999999999, 0.060287466055552214),
+    ("a", 0.5, 2.00000000001, 0.060287466056534712),
+    ("a", 0.5, 1.999999999, 0.060287466006918575),
+    ("a", 0.5, 2.000000001, 0.060287466105168351),
+    ("a", 0.5, 1.9999999, 0.060287461143555273),
+    ("a", 0.5, 2.0000001, 0.060287470968532058),
+    ("a", 0.5, 2.00001, 0.060287957306957486),
+    ("a", 0.5, 2.001, 0.060336611691150262),
+    ("a", 1.0, -1e-11, 0.0044321715257130047),
+    ("a", 1.0, 1e-11, 0.004432171525773332),
+    ("a", 1.0, -1e-09, 0.0044321715227268052),
+    ("a", 1.0, 1e-09, 0.0044321715287595315),
+    ("a", 1.0, -1e-07, 0.0044321712241068651),
+    ("a", 1.0, 1e-07, 0.0044321718273794953),
+    ("a", 1.0, 1e-05, 0.0044322016894932784),
+    ("a", 1.0, 0.001, 0.0044351890752270698),
+    ("a", 1.0, 0.99999999999, 0.0090450447001396076),
+    ("a", 1.0, 1.00000000001, 0.0090450447002740181),
+    ("a", 1.0, 0.999999999, 0.0090450446934862856),
+    ("a", 1.0, 1.000000001, 0.0090450447069273409),
+    ("a", 1.0, 0.9999999, 0.0090450440281540949),
+    ("a", 1.0, 1.0000001, 0.0090450453722595863),
+    ("a", 1.0, 1.00001, 0.0090451119057552293),
+    ("a", 1.0, 1.001, 0.0090517679668878059),
+    ("a", 1.0, 1.99999999999, 0.019476455213128082),
+    ("a", 1.0, 2.00000000001, 0.019476455213435149),
+    ("a", 1.0, 1.999999999, 0.019476455197928273),
+    ("a", 1.0, 2.000000001, 0.019476455228634958),
+    ("a", 1.0, 1.9999999, 0.019476453677947603),
+    ("a", 1.0, 2.0000001, 0.019476456748615753),
+    ("a", 1.0, 2.00001, 0.019476608747330838),
+    ("a", 1.0, 2.001, 0.019491814971785298),
+    ("a", 0.0, -1e-11, 0.03769911184278219),
+    ("a", 0.0, 1e-11, 0.037699111843372846),
+    ("a", 0.0, -1e-09, 0.037699111813544732),
+    ("a", 0.0, 1e-09, 0.037699111872610304),
+    ("a", 0.0, -1e-07, 0.03769910888979902),
+    ("a", 0.0, 1e-07, 0.037699114796356265),
+    ("a", 0.0, 1e-05, 0.037699407172182053),
+    ("a", 0.0, 0.001, 0.037728657055880815),
+    ("a", 0.0, 0.99999999999, 0.084436416078900952),
+    ("a", 0.0, 1.00000000001, 0.084436416080305478),
+    ("a", 0.0, 0.999999999, 0.084436416009376902),
+    ("a", 0.0, 1.000000001, 0.084436416149829536),
+    ("a", 0.0, 0.9999999, 0.084436409056971997),
+    ("a", 0.0, 1.0000001, 0.084436423102235077),
+    ("a", 0.0, 1.00001, 0.084437118345937093),
+    ("a", 0.0, 1.001, 0.084506674205088636),
+    ("a", 0.0, 1.99999999999, 0.20453077171607372),
+    ("a", 0.0, 1.999999999, 0.20453077151690772),
+    ("a", 0.0, 1.9999999, 0.20453075160031069),
+    ("a", 0.0, 1.9, 0.18569252830561059),
+    ("a", 0.0, 1.99, 0.20253265886632301),
+    ("a", 1.0, 1.2499999999999998, 0.010909078098757243),
+    ("a", 1.0, 1.2499999999999996, 0.010909078098757241),
+    ("b", 0.5, -1e-11, 0.0043040924121149783),
+    ("b", 0.5, 1e-11, 0.0043040924121026068),
+    ("b", 0.5, -1e-09, 0.0043040924127273663),
+    ("b", 0.5, 1e-09, 0.0043040924114902188),
+    ("b", 0.5, -1e-07, 0.0043040924739661532),
+    ("b", 0.5, 1e-07, 0.0043040923502513978),
+    ("b", 0.5, 1e-05, 0.0043040862262001829),
+    ("b", 0.5, 0.001, 0.0043034721288960192),
+    ("b", 0.5, 0.99999999999, 0.00035907303579429873),
+    ("b", 0.5, 1.00000000001, 0.00035907303560176418),
+    ("b", 0.5, 0.999999999, 0.00035907304532475822),
+    ("b", 0.5, 1.000000001, 0.0003590730260713036),
+    ("b", 0.5, 0.9999999, 0.00035907399837064585),
+    ("b", 0.5, 1.0000001, 0.00035907207302523583),
+    ("b", 0.5, 1.00001, 0.00035897676752673006),
+    ("b", 0.5, 1.001, 0.00034943729607765784),
+    ("b", 0.5, 1.99999999999, -0.025036324371054629),
+    ("b", 0.5, 2.00000000001, -0.025036324372070357),
+    ("b", 0.5, 1.999999999, -0.025036324320776113),
+    ("b", 0.5, 2.000000001, -0.025036324422348873),
+    ("b", 0.5, 1.9999999, -0.025036319292925292),
+    ("b", 0.5, 2.0000001, -0.025036329450200457),
+    ("b", 0.5, 2.00001, -0.025036832239193451),
+    ("b", 0.5, 2.001, -0.025087149489647405),
+    ("b", 1.0, -1e-11, 0.0028140550623655744),
+    ("b", 1.0, 1e-11, 0.0028140550623814175),
+    ("b", 1.0, -1e-09, 0.002814055061581343),
+    ("b", 1.0, 1e-09, 0.0028140550631656489),
+    ("b", 1.0, -1e-07, 0.0028140549831581995),
+    ("b", 1.0, 1e-07, 0.0028140551415887934),
+    ("b", 1.0, 1e-05, 0.0028140629839086551),
+    ("b", 1.0, 0.001, 0.0028148472698982716),
+    ("b", 1.0, 0.99999999999, 0.0034991058151687389),
+    ("b", 1.0, 1.00000000001, 0.0034991058151752136),
+    ("b", 1.0, 0.999999999, 0.0034991058148482418),
+    ("b", 1.0, 1.000000001, 0.0034991058154957108),
+    ("b", 1.0, 0.9999999, 0.003499105782798521),
+    ("b", 1.0, 1.0000001, 0.0034991058475454168),
+    ("b", 1.0, 1.00001, 0.0034991090524426892),
+    ("b", 1.0, 1.001, 0.0034994288083430149),
+    ("b", 1.0, 1.99999999999, 0.0022346951292502602),
+    ("b", 1.0, 2.00000000001, 0.0022346951291681108),
+    ("b", 1.0, 1.999999999, 0.0022346951333166589),
+    ("b", 1.0, 2.000000001, 0.002234695125101712),
+    ("b", 1.0, 1.9999999, 0.0022346955399564514),
+    ("b", 1.0, 2.0000001, 0.0022346947184618277),
+    ("b", 1.0, 2.00001, 0.0022346540540139807),
+    ("b", 1.0, 2.001, 0.0022305830136721592),
+    ("b", 0.0, -1e-11, -0.0037321628900309682),
+    ("b", 0.0, 1e-11, -0.0037321628904092985),
+    ("b", 0.0, -1e-09, -0.0037321628713036201),
+    ("b", 0.0, 1e-09, -0.0037321629091366467),
+    ("b", 0.0, -1e-07, -0.0037321609985689577),
+    ("b", 0.0, 1e-07, -0.003732164781871619),
+    ("b", 0.0, 1e-05, -0.0037323520569030734),
+    ("b", 0.0, 0.001, -0.0037510949094331329),
+    ("b", 0.0, 0.99999999999, -0.048238939551646126),
+    ("b", 0.0, 1.00000000001, -0.048238939553320385),
+    ("b", 0.0, 0.999999999, -0.048238939468770296),
+    ("b", 0.0, 1.000000001, -0.048238939636196224),
+    ("b", 0.0, 0.9999999, -0.048238931181187663),
+    ("b", 0.0, 1.0000001, -0.048238947923779998),
+    ("b", 0.0, 1.00001, -0.048239776687806504),
+    ("b", 0.0, 1.001, -0.048322709602003357),
+    ("b", 0.0, 1.99999999999, -0.21814873934649597),
+    ("b", 0.0, 1.999999999, -0.21814873905778393),
+    ("b", 0.0, 1.9999999, -0.21814871018658416),
+    ("b", 0.0, 1.9, -0.1905716174205997),
+    ("b", 0.0, 1.99, -0.21524872476185113),
+    ("b", 1.0, 1.2499999999999998, 0.003524291013499514),
+    ("b", 1.0, 1.2499999999999996, 0.003524291013499514),
+    ("c", 0.0, 1.8, 0.87373748230794875),
+    ("c", 0.0, 1.99, 12.745601452056792),
+    ("c", 0.0, 1.99999999999, 12499998965.990887),
+    ("c", 0.0, 1.999999999, 124999989.90289323),
+    ("c", 0.0, 1.9999999, 1250000.2447089209),
+    ("zero", 1.0, -0.8, 4.1698809903739066),
+]
+
+
+def test_definite_near_integer_power():
+    for shape, m, n, want in NEAR_INTEGER_REFS:
+        h, k, l, a, b, u = NEAR_INTEGER_SHAPES[shape]
+        r = eval_definite(spec(n, m, h=h, k=k, l=l, a=a, b=b, u=u))
+        assert r.method == "closed_form"
+        assert abs(r.value.real - want) <= 1e-10 * abs(want), (shape, m, n)
 
 
 def test_definite_degenerate_frequency():
