@@ -10,7 +10,10 @@ and identical invocations produce byte-identical bytes. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import itertools
+import json
 import math
 import os
 import sys
@@ -160,30 +163,24 @@ def _spec_cells(spec: IntegralSpec) -> list[tuple]:
     return cells
 
 
-def _csv_quote(s: str) -> str:
-    if any(ch in s for ch in ",\"\n"):
-        return '"' + s.replace('"', '""') + '"'
-    return s
-
-
 def _json_field(key: str, cell) -> str:
     if cell is _NULL:
         return f'"{key}": null'
     text, quoted = cell
     if quoted:
-        esc = text.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{key}": "{esc}"'
+        text = json.dumps(text, ensure_ascii=False)
     return f'"{key}": {text}'
 
 
 def _render(header: list[str], rows: list[list], fmt: str,
             n_spec: int = 0) -> str:
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(
-                "" if cell is _NULL else _csv_quote(cell[0]) for cell in row))
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([None if cell is _NULL else cell[0] for cell in row]
+                         for row in rows)
+        return buf.getvalue()
     out = ["["]
     for i, row in enumerate(rows):
         fields = []

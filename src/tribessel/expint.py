@@ -5,6 +5,8 @@ E_1 / E_n family, sine and cosine integrals, integer-order incomplete gamma
 functions, and the closed-form antiderivative of x^n e^{cx} that the triple
 product integrals reduce to.
 
+E_n for every order n >= 1, E_1 included, comes from one power series and one
+continued fraction, and _series_preferred(n, z) alone chooses between them.
 All complex powers and logarithms take the principal branch.
 """
 
@@ -42,32 +44,16 @@ def _as_index(v) -> int | None:
 # E_1 and E_n
 # ---------------------------------------------------------------------------
 
-def _e1_series(z: complex) -> complex:
-    """-gamma - Log z + sum_{k>=1} (-1)^(k+1) z^k / (k k!).
+def _series_preferred(n: int, z: complex) -> bool:
+    """True where the power series for E_n, n >= 1, beats the continued fraction.
 
-    Accurate for |z| <= 4 and, because the result grows like e^{-Re z}, for any
-    z near the negative real axis where |z| - |Re z| stays small.
-    """
-    total = -EULER_GAMMA - cmath.log(z)
-    term = complex(1.0)
-    for k in range(1, int(3 * abs(z)) + 160):
-        term *= -z / k
-        piece = -term / k
-        total += piece
-        if k > abs(z) and abs(piece) <= _SERIES_EPS * max(abs(total), 1e-30):
-            return total
-    raise ArithmeticError("E_1 series did not converge")
-
-
-def _series_preferred(z: complex) -> bool:
-    """True where the power series beats the continued fraction.
-
-    Inside |z| <= 4 always; outside, only near the negative real axis where
-    the series cancellation measure |z| - |Re z| is small (the continued
-    fraction converges arbitrarily slowly approaching the cut).
+    Inside |z| <= 4 for n = 1 and |z| <= 3 for n >= 2; outside, only near the
+    negative real axis where the series cancellation measure |z| - |Re z| is
+    small (the continued fraction converges arbitrarily slowly approaching the
+    cut, while the series result grows like e^{-Re z}).
     """
     r = abs(z)
-    if r <= 4.0:
+    if r <= (4.0 if n == 1 else 3.0):
         return True
     return z.real < 0.0 and (r + z.real) <= 6.0 and r <= 300.0
 
@@ -101,7 +87,7 @@ def _en_cf(n: int, z: complex, maxiter: int = 4000) -> complex:
 def e1_complex(z: complex) -> complex:
     """Exponential integral E_1(z) for complex z off the negative real axis.
 
-    Power series for |z| <= 4, continued fraction beyond.
+    The n = 1 case of exp_integral_en, with E_1-specific domain errors.
     """
     z = _as_complex(z)
     if z == 0:
@@ -111,9 +97,7 @@ def e1_complex(z: complex) -> complex:
             "E_1 has a branch cut on the negative real axis; "
             "use ei(-x) for the real principal value"
         )
-    if _series_preferred(z):
-        return _e1_series(z)
-    return _en_cf(1, z)
+    return exp_integral_en(1, z)
 
 
 @functools.lru_cache(maxsize=256)
@@ -123,7 +107,11 @@ def _harmonic(n: int) -> float:
 
 
 def _en_series(n: int, z: complex) -> complex:
-    """Small-|z| series for E_n(z), integer n >= 2 (A&S-style expansion)."""
+    """Small-|z| series for E_n(z), every integer n >= 1 (A&S 5.1.12).
+
+    (-z)^{n-1}/(n-1)! (-Log z - gamma + H_{n-1}) - sum_{m != n-1} (-z)^m / (m! (m-n+1));
+    at n = 1 this is -gamma - Log z + sum_{k>=1} (-1)^(k+1) z^k / (k k!).
+    """
     mz = -z
     az = abs(z)
     lead = mz ** (n - 1) / math.factorial(n - 1)
@@ -144,8 +132,9 @@ def _en_series(n: int, z: complex) -> complex:
 def exp_integral_en(n: int, z: complex) -> complex:
     """Generalized exponential integral E_n(z) for integer n >= 0.
 
-    E_0(z) = e^{-z}/z; E_1 by series/continued fraction; n >= 2 by a small-|z|
-    series or the continued fraction. z must avoid the negative real axis.
+    E_0(z) = e^{-z}/z; every n >= 1 by the power series or the continued
+    fraction, as _series_preferred chooses. z must avoid the negative real
+    axis; z = 0 is a pole for n <= 1 and gives 1/(n-1) for n >= 2.
     """
     order = _as_index(n)
     if order is None or order < 0:
@@ -153,14 +142,14 @@ def exp_integral_en(n: int, z: complex) -> complex:
     n = order
     z = _as_complex(z)
     if z.imag == 0.0 and z.real <= 0.0:
-        if z == 0 and n >= 2:
-            return complex(1.0 / (n - 1))
+        if z == 0:
+            if n >= 2:
+                return complex(1.0 / (n - 1))
+            raise DomainError(f"E_{n} is singular at z = 0")
         raise BranchCutError(f"E_{n} is not defined on the negative real axis (z={z})")
     if n == 0:
         return cmath.exp(-z) / z
-    if n == 1:
-        return e1_complex(z)
-    if abs(z) <= 3.0 or (z.real < 0.0 and abs(z) + z.real <= 6.0 and abs(z) <= 300.0):
+    if _series_preferred(n, z):
         return _en_series(n, z)
     return _en_cf(n, z)
 

@@ -282,27 +282,22 @@ def quad_semi_infinite(spec: IntegralSpec,
     g_fast = max(_combined_frequencies(spec))
     split = math.pi / g_fast
 
-    if m > 0.0:
-        tail_tol = 0.1 * config.abs_tol
-        x_max = _truncation_point_damped(spec, tail_tol)
+    if m > 0.0 or config.tail_policy == "exponential_bound":
+        if m > 0.0:
+            tail_err = 0.1 * config.abs_tol
+            x_max = _truncation_point_damped(spec, tail_err)
+        else:
+            x_max = 50.0
+            while _tail_bound_undamped(spec, x_max) > 0.5 * config.abs_tol:
+                x_max *= 1.3
+                if x_max > 3.0e5:
+                    converged = False
+                    break
+            tail_err = _tail_bound_undamped(spec, x_max)
         points = np.arange(x0 + split, x_max, split)
         body = quad_finite(f, x0, x_max, config, points=points)
         value += body.value
-        err += body.err_estimate + tail_tol
-        converged = converged and body.converged
-        method = "gk_adaptive+exponential_bound"
-    elif config.tail_policy == "exponential_bound":
-        x_max = 50.0
-        while _tail_bound_undamped(spec, x_max) > 0.5 * config.abs_tol:
-            x_max *= 1.3
-            if x_max > 3.0e5:
-                converged = False
-                break
-        tail = _tail_bound_undamped(spec, x_max)
-        points = np.arange(x0 + split, x_max, split)
-        body = quad_finite(f, x0, x_max, config, points=points)
-        value += body.value
-        err += body.err_estimate + tail
+        err += body.err_estimate + tail_err
         converged = converged and body.converged
         method = "gk_adaptive+exponential_bound"
     else:

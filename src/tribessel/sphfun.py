@@ -7,11 +7,14 @@ expansion of a plane wave. The j_l evaluator switches between a Taylor series
 recurrence (x above the order) so that all three regimes keep close to full
 double precision.
 
-The regime is chosen once per call: an array that lies in one regime goes
-straight to it, and only an array spanning two is split. The series length is
-fixed by the largest argument. The Miller recurrence checks for rescaling only
-once an a-priori growth bound says it could be needed, and rescales each
-element on its own, so a value never depends on the rest of its batch.
+`_jl_vec` is the only place the j_l regime is chosen, and every j_l value,
+the plane-wave partial sum's included, goes through it. The regime is chosen
+once per call: an array that lies in one regime goes straight to it, and only
+an array spanning two is split. The series length is fixed by the largest
+argument. The Miller recurrence checks for rescaling only once an a-priori
+growth bound says it could be needed, and rescales each element on its own, so
+a value never depends on the rest of its batch. j_l above its order and n_l at
+every x share one upward recurrence.
 """
 
 from __future__ import annotations
@@ -84,14 +87,21 @@ def _jl_series(l: int, x: np.ndarray) -> np.ndarray:
     return lead * total
 
 
-def _jl_upward(l: int, x: np.ndarray) -> np.ndarray:
-    jm = np.sin(x) / x
+def _upward(l: int, x: np.ndarray, f0: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Order l of f_{lam+1} = (2 lam + 1)/x f_lam - f_{lam-1}, with f_1 = f_0/x - g.
+
+    j_l starts from (sin x/x, cos x/x) and n_l from (-cos x/x, sin x/x).
+    """
     if l == 0:
-        return jm
-    jc = jm / x - np.cos(x) / x
+        return f0
+    fm, fc = f0, f0 / x - g
     for lam in range(1, l):
-        jm, jc = jc, (2 * lam + 1) / x * jc - jm
-    return jc
+        fm, fc = fc, (2 * lam + 1) / x * fc - fm
+    return fc
+
+
+def _jl_upward(l: int, x: np.ndarray) -> np.ndarray:
+    return _upward(l, x, np.sin(x) / x, np.cos(x) / x)
 
 
 def _jl_downward(l: int, x: np.ndarray) -> np.ndarray:
@@ -163,38 +173,6 @@ def _jl_vec(l: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jl_all(l_max: int, x: float) -> np.ndarray:
-    """j_0(x) .. j_{l_max}(x) in one pass (scalar x > 0)."""
-    if x >= l_max + 2 or l_max <= 1:
-        jm = math.sin(x) / x
-        if l_max == 0:
-            return np.array([jm])
-        jc = jm / x - math.cos(x) / x
-        vals = [jm, jc]
-        for lam in range(1, l_max):
-            jm, jc = jc, (2 * lam + 1) / x * jc - jm
-            vals.append(jc)
-        return np.array(vals)
-    l_start = l_max + math.isqrt(40 * l_max - 1) + 1 + 20
-    jp, jc = 0.0, 1.0
-    out = np.zeros(l_max + 1)
-    for lam in range(l_start, 0, -1):
-        jm = (2 * lam + 1) / x * jc - jp
-        jp, jc = jc, jm
-        if lam - 1 <= l_max:
-            out[lam - 1] = jm
-        if abs(jc) > _RESCALE_LIMIT:
-            jp *= _RESCALE_FACTOR
-            jc *= _RESCALE_FACTOR
-            out *= _RESCALE_FACTOR
-    sin_x = math.sin(x)
-    if abs(sin_x) >= _J0_NORM_FLOOR:
-        scale = (sin_x / x) / jc
-    else:
-        scale = (sin_x / (x * x) - math.cos(x) / x) / jp
-    return out * scale
-
-
 def sph_bessel_j(l: int, x: float) -> float:
     """Spherical Bessel function of the first kind, j_l(x).
 
@@ -218,13 +196,7 @@ def sph_bessel_j_at_zero(l: int) -> float:
 
 def _nl_vec(l: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    nm = -np.cos(x) / x
-    if l == 0:
-        return nm
-    nc = nm / x - np.sin(x) / x
-    for lam in range(1, l):
-        nm, nc = nc, (2 * lam + 1) / x * nc - nm
-    return nc
+    return _upward(l, x, -np.cos(x) / x, np.sin(x) / x)
 
 
 def sph_bessel_n(l: int, x: float) -> float:
@@ -286,7 +258,8 @@ def plane_wave_partial_sum(kr: float, u: float, l_max: int) -> complex:
         raise DomainError(f"direction cosine must lie in [-1, 1], got {u}")
     if kr == 0.0:
         return complex(1.0, 0.0)
-    js = _jl_all(l_max, kr)
+    x = np.array([kr])
+    js = [_jl_vec(lam, x)[0] for lam in range(l_max + 1)]
     ps = _pl_all(l_max, u)
     total = complex(0.0, 0.0)
     for lam in range(l_max + 1):

@@ -191,6 +191,10 @@ def test_e1_branch_cut_rejected():
         e1_complex(-2.0 + 0j)
     with pytest.raises(DomainError):
         e1_complex(0.0 + 0j)
+    # z = 0 is a pole of E_0 and E_1, not a point of the cut
+    for n in (0, 1):
+        with pytest.raises(DomainError, match="singular"):
+            exp_integral_en(n, 0)
 
 
 @pytest.mark.parametrize("z", [1.0 + 0j, 2.0 + 1.0j])
@@ -210,9 +214,26 @@ def test_en_series_cf_consistency():
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
+def _e1_series_reference(z):
+    """-gamma - Log z + sum_{k>=1} (-1)^(k+1) z^k / (k k!), the E_1 series
+    written for n = 1 alone (the reference for _en_series at n = 1)."""
+    total = -EULER_GAMMA - cmath.log(z)
+    term = complex(1.0)
+    for k in range(1, int(3 * abs(z)) + 160):
+        term *= -z / k
+        piece = -term / k
+        total += piece
+        if k > abs(z) and abs(piece) <= _SERIES_EPS * max(abs(total), 1e-30):
+            return total
+    raise ArithmeticError
+
+
 def _en_series_reference(n, z):
     """_en_series with H_{n-1}, -z and |z| recomputed inline (the reference
-    for the per-n harmonic cache and the per-call constants)."""
+    for the per-n harmonic cache and the per-call constants), and
+    _e1_series_reference at n = 1."""
+    if n == 1:
+        return _e1_series_reference(z)
     harm = sum(1.0 / k for k in range(1, n))
     lead = (-z) ** (n - 1) / math.factorial(n - 1)
     total = lead * (-cmath.log(z) - EULER_GAMMA + harm)
@@ -234,12 +255,14 @@ def _bits(z):
 
 
 def test_en_series_matches_inline_reference_bit_for_bit():
-    # |z| <= 3 on 16 rays between the axes, four per quadrant, plus the
-    # positive real axis (the negative one is the branch cut)
+    # |z| <= 4 on 16 rays between the axes, four per quadrant, the positive
+    # real axis (the negative one is the branch cut) and the near-axis points
+    # where the series is preferred far out
     zs = [cmath.rect(r, math.pi * (2 * j + 1) / 16)
-          for r in (1e-3, 0.3, 1.0, 2.2, 3.0) for j in range(16)]
-    zs += [complex(1.5), complex(3.0)]
-    for n in range(2, 31):
+          for r in (1e-3, 0.3, 1.0, 2.2, 3.0, 4.0) for j in range(16)]
+    zs += [complex(1.5), complex(3.0), complex(4.0)]
+    zs += [-10 + 0.5j, -10 - 0.5j, -40 + 2j, -4 + 1e-9j, -250 - 3j]
+    for n in range(1, 31):
         for z in zs:
             assert _bits(_en_series(n, z)) == _bits(_en_series_reference(n, z)), (n, z)
 

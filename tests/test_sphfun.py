@@ -232,6 +232,9 @@ def test_plane_wave_degenerate_and_reference_points():
     assert abs(plane_wave_partial_sum(0.0, 0.37, 8) - 1.0) < 1e-14
     assert abs(plane_wave_partial_sum(1.0, 1.0, 30) - cmath.exp(1j)) < 1e-12
     assert abs(plane_wave_partial_sum(5.0, -1.0, 60) - cmath.exp(-5j)) < 1e-10
+    # small kr: the low orders sit in the j_l series regime
+    for kr, u, l_max in ((1e-3, 0.3, 8), (1e-2, -0.7, 20)):
+        assert abs(plane_wave_partial_sum(kr, u, l_max) - cmath.exp(1j * kr * u)) < 1e-15
 
 
 def test_domain_errors():
