@@ -53,15 +53,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12e}"
-
-
-def _fmt_value(z: complex) -> str:
-    z = complex(z)
-    if abs(z.imag) <= 1e-13 * (1.0 + abs(z.real)):
-        return _fmt(z.real)
-    return f"{z.real:.12e}{z.imag:+.12e}j"
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """The min:max:count grid, both ends included."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if lo > hi:
+        raise ValueError("min must be <= max")
+    return [lo] if count == 1 else [float(v) for v in np.linspace(lo, hi, count)]
 
 
 def _parse_axis(parser: _Parser, name: str, text: str) -> list[float]:
@@ -72,16 +70,9 @@ def _parse_axis(parser: _Parser, name: str, text: str) -> list[float]:
     try:
         if ":" in text:
             lo_s, hi_s, cnt_s = text.split(":")
-            lo, hi, cnt = float(lo_s), float(hi_s), int(cnt_s)
-            if cnt < 1:
-                raise ValueError("count must be >= 1")
-            if lo > hi:
-                raise ValueError("min must be <= max")
-            vals = [lo] if cnt == 1 else [float(v) for v in np.linspace(lo, hi, cnt)]
-        elif "," in text:
-            vals = [float(v) for v in text.split(",")]
+            vals = _linspace(float(lo_s), float(hi_s), int(cnt_s))
         else:
-            vals = [float(text)]
+            vals = [float(v) for v in text.split(",")]
     except ValueError as exc:
         parser.error(f"bad grid for --{name}: {exc}")
     if name in _INT_FIELDS:
@@ -133,67 +124,53 @@ def _specs_from_args(parser: _Parser, args, grid: bool) -> list[IntegralSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Row formatting. A cell is (formatted text, quote-in-json); _NULL means
-# an empty CSV field / JSON null. JSON nests the leading spec columns as a
-# sub-object so rows read {spec: {...}, value, method, err_estimate, status}.
+# Rows. Every command builds rows of plain values (float, int, bool, str,
+# complex, None); _text is the one cell format and _render the one row
+# layout. None is an empty CSV field / JSON null. JSON nests the leading
+# spec columns as a sub-object so rows read
+# {spec: {...}, value, method, err_estimate, status}.
 # ---------------------------------------------------------------------------
 
-_NULL = object()
+def _text(v) -> str:
+    """One non-null cell as text: %.12e for every float, and a complex
+    value as a+bj unless its imaginary part is negligible."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, str)):
+        return str(v)
+    if isinstance(v, complex):
+        if not abs(v.imag) <= 1e-13 * (1.0 + abs(v.real)):
+            return f"{v.real:.12e}{v.imag:+.12e}j"
+        v = v.real
+    return f"{float(v):.12e}"
 
 
-def _cell_num(x) -> tuple:
-    return (_fmt(x), False)
-
-
-def _cell_str(s: str) -> tuple:
-    return (s, True)
-
-
-def _cell_value(z: complex) -> tuple:
-    t = _fmt_value(z)
-    return (t, t.endswith("j"))
-
-
-def _spec_cells(spec: IntegralSpec) -> list[tuple]:
-    cells = []
-    for name in _SPEC_FIELDS:
-        v = getattr(spec, name)
-        cells.append((str(v), False) if name in _INT_FIELDS else _cell_num(v))
-    cells.append(("true" if spec.m_imaginary else "false", False))
-    return cells
-
-
-def _json_field(key: str, cell) -> str:
-    if cell is _NULL:
-        return f'"{key}": null'
-    text, quoted = cell
-    if quoted:
-        text = json.dumps(text, ensure_ascii=False)
-    return f'"{key}": {text}'
+def _json(v) -> str:
+    if v is None:
+        return "null"
+    text = _text(v)
+    if isinstance(v, str) or text.endswith("j"):
+        return json.dumps(text, ensure_ascii=False)
+    return text
 
 
 def _render(header: list[str], rows: list[list], fmt: str,
             n_spec: int = 0) -> str:
-    if fmt == "csv":
+    """Rows as a JSON list, or as CSV for both "csv" and "text"."""
+    if fmt != "json":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([None if cell is _NULL else cell[0] for cell in row]
+        writer.writerows([None if v is None else _text(v) for v in row]
                          for row in rows)
         return buf.getvalue()
-    out = ["["]
-    for i, row in enumerate(rows):
-        fields = []
+    out = []
+    for row in rows:
+        fields = [f'"{k}": {_json(v)}' for k, v in zip(header, row)]
         if n_spec:
-            inner = ", ".join(_json_field(k, c)
-                              for k, c in zip(header[:n_spec], row[:n_spec]))
-            fields.append('"spec": {' + inner + "}")
-        fields.extend(_json_field(k, c)
-                      for k, c in zip(header[n_spec:], row[n_spec:]))
-        sep = "," if i + 1 < len(rows) else ""
-        out.append("  {" + ", ".join(fields) + "}" + sep)
-    out.append("]")
-    return "\n".join(out) + "\n"
+            fields[:n_spec] = ['"spec": {' + ", ".join(fields[:n_spec]) + "}"]
+        out.append("  {" + ", ".join(fields) + "}")
+    return "[\n" + ",\n".join(out) + ("\n" if out else "") + "]\n"
 
 
 def _write_output(text: str, args):
@@ -212,61 +189,66 @@ def _write_output(text: str, args):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-_RESULT_HEADER = _SPEC_HEADER + ["value", "method", "err_estimate", "status"]
+_RESULT_FIELDS = ["value", "method", "err_estimate", "status"]
+_RESULT_HEADER = _SPEC_HEADER + _RESULT_FIELDS
 _COMPARE_HEADER = _SPEC_HEADER + ["closed_form", "oracle", "abs_diff", "status"]
+_ERRATA_HEADER = ["ident", "context", "printed", "corrected", "point",
+                  "printed_value", "corrected_value", "reference_value",
+                  "printed_abs_err", "corrected_abs_err", "demo_tol"]
 
 
-def _no_value(status: str) -> list:
-    """Result cells of a grid row that could not be evaluated."""
-    return [_NULL, _NULL, _NULL, _cell_str(status)]
+def _spec_values(spec: IntegralSpec) -> list:
+    return [getattr(spec, name) for name in _SPEC_HEADER]
+
+
+def _result_values(res) -> list:
+    return [res.value, res.method, res.err_estimate, "ok"]
+
+
+def _grid_rows(specs: list[IntegralSpec], values) -> list[list]:
+    """One row per spec: its spec values, then values(spec). A spec that
+    cannot be evaluated gets empty value cells and a status instead."""
+    rows = []
+    for spec in specs:
+        try:
+            cells = values(spec)
+        except _PRECONDITION_ERRORS:
+            cells = [None, None, None, "divergent-precondition"]
+        except ArithmeticError:
+            cells = [None, None, None, "cannot-evaluate"]
+        rows.append(_spec_values(spec) + cells)
+    return rows
+
+
+def _evaluator(parser: _Parser, args):
+    """eval's and sweep's --x/--definite choice, as spec -> EvalResult."""
+    if args.definite and args.x is not None:
+        parser.error("--x and --definite are mutually exclusive")
+    if args.definite:
+        return eval_definite
+    if args.x is None:
+        parser.error("need --x for the antiderivative or --definite")
+    return lambda spec: eval_indefinite(spec, args.x)
 
 
 def _cmd_eval(parser: _Parser, args) -> int:
     spec = _specs_from_args(parser, args, grid=False)[0]
-    if args.definite and args.x is not None:
-        parser.error("--x and --definite are mutually exclusive")
-    if args.definite:
-        res = eval_definite(spec)
-    elif args.x is not None:
-        res = eval_indefinite(spec, args.x)
-    else:
-        parser.error("need --x for the antiderivative or --definite")
+    cells = _result_values(_evaluator(parser, args)(spec))
     if args.format == "text":
-        text = (f"value {_fmt_value(res.value)}\n"
-                f"method {res.method}\n"
-                f"err_estimate {_fmt(res.err_estimate)}\n")
+        text = "".join(f"{k} {_text(v)}\n"
+                       for k, v in zip(_RESULT_FIELDS[:3], cells))
     else:
-        row = _spec_cells(spec) + [
-            _cell_value(res.value),
-            _cell_str(res.method),
-            _cell_num(res.err_estimate),
-            _cell_str("ok"),
-        ]
-        text = _render(_RESULT_HEADER, [row], args.format,
-                       n_spec=len(_SPEC_HEADER))
+        text = _render(_RESULT_HEADER, [_spec_values(spec) + cells],
+                       args.format, n_spec=len(_SPEC_HEADER))
     _write_output(text, args)
     return 0
 
 
 def _cmd_sweep(parser: _Parser, args) -> int:
     specs = _specs_from_args(parser, args, grid=True)
-    if not args.definite and args.x is None:
-        parser.error("need --x for the antiderivative or --definite")
-    rows = []
-    for spec in specs:
-        cells = _spec_cells(spec)
-        try:
-            res = eval_definite(spec) if args.definite \
-                else eval_indefinite(spec, args.x)
-            cells += [_cell_value(res.value), _cell_str(res.method),
-                      _cell_num(res.err_estimate), _cell_str("ok")]
-        except _PRECONDITION_ERRORS:
-            cells += _no_value("divergent-precondition")
-        except ArithmeticError:
-            cells += _no_value("cannot-evaluate")
-        rows.append(cells)
-    fmt = "csv" if args.format == "text" else args.format
-    _write_output(_render(_RESULT_HEADER, rows, fmt,
+    evaluate = _evaluator(parser, args)
+    rows = _grid_rows(specs, lambda spec: _result_values(evaluate(spec)))
+    _write_output(_render(_RESULT_HEADER, rows, args.format,
                           n_spec=len(_SPEC_HEADER)), args)
     return 0
 
@@ -281,51 +263,35 @@ def _cmd_compare(parser: _Parser, args) -> int:
     if interval and not args.x_lo > 0:
         parser.error("--x-lo must be > 0")
 
-    rows = []
-    any_fail = False
-    for spec in specs:
-        cells = _spec_cells(spec)
-        try:
-            if interval:
-                closed = (eval_indefinite(spec, args.x_hi).value
-                          - eval_indefinite(spec, args.x_lo).value).real
-                oracle = quad_finite(integrand(spec), args.x_lo, args.x_hi,
-                                     cfg).value.real
-            else:
-                closed = eval_definite(spec).value.real
-                oracle = quad_semi_infinite(spec, cfg).value.real
-        except _PRECONDITION_ERRORS:
-            rows.append(cells + _no_value("divergent-precondition"))
-            continue
-        except ArithmeticError:
-            rows.append(cells + _no_value("cannot-evaluate"))
-            continue
+    def compare(spec: IntegralSpec) -> list:
+        if interval:
+            closed = (eval_indefinite(spec, args.x_hi).value
+                      - eval_indefinite(spec, args.x_lo).value).real
+            oracle = quad_finite(integrand(spec), args.x_lo, args.x_hi,
+                                 cfg).value.real
+        else:
+            closed = eval_definite(spec).value.real
+            oracle = quad_semi_infinite(spec, cfg).value.real
         diff = abs(closed - oracle)
-        tol = max(args.pass_abs_tol, args.pass_rel_tol * abs(oracle))
-        ok = diff <= tol
-        any_fail = any_fail or not ok
-        cells += [_cell_num(closed), _cell_num(oracle), _cell_num(diff),
-                  _cell_str("pass" if ok else "fail")]
-        rows.append(cells)
-    fmt = "csv" if args.format == "text" else args.format
-    _write_output(_render(_COMPARE_HEADER, rows, fmt,
+        ok = diff <= max(args.pass_abs_tol, args.pass_rel_tol * abs(oracle))
+        return [closed, oracle, diff, "pass" if ok else "fail"]
+
+    rows = _grid_rows(specs, compare)
+    _write_output(_render(_COMPARE_HEADER, rows, args.format,
                           n_spec=len(_SPEC_HEADER)), args)
-    return 3 if any_fail else 0
+    return 3 if any(row[-1] == "fail" for row in rows) else 0
 
 
 def _cmd_ei_table(parser: _Parser, args) -> int:
-    if args.count < 1:
-        parser.error("--count must be >= 1")
-    if args.x_min > args.x_max:
-        parser.error("--x-min must be <= --x-max")
-    xs = [args.x_min] if args.count == 1 else [
-        float(v) for v in np.linspace(args.x_min, args.x_max, args.count)]
+    try:
+        xs = _linspace(args.x_min, args.x_max, args.count)
+    except ValueError as exc:
+        parser.error(f"bad grid for --x-min/--x-max/--count: {exc}")
     xs = [x for x in xs if x != 0.0]
     if not xs:
         parser.error("grid contains no usable points (only x = 0)")
-    rows = [[_cell_num(x), _cell_num(ei(x))] for x in xs]
-    fmt = "csv" if args.format == "text" else args.format
-    _write_output(_render(["x", "ei"], rows, fmt), args)
+    rows = [[x, ei(x)] for x in xs]
+    _write_output(_render(["x", "ei"], rows, args.format), args)
     return 0
 
 
@@ -333,26 +299,9 @@ def _cmd_errata(parser: _Parser, args) -> int:
     from .errata import build_errata  # loaded here: no other command needs it
 
     entries = build_errata()
-    if args.format in ("csv", "json"):
-        rows = []
-        for e in entries:
-            rows.append([
-                _cell_str(e.ident),
-                _cell_str(e.context),
-                _cell_str(e.printed),
-                _cell_str(e.corrected),
-                _cell_str(e.point),
-                _cell_value(e.printed_value),
-                _cell_value(e.corrected_value),
-                _cell_value(e.reference_value),
-                _cell_num(e.printed_abs_err),
-                _cell_num(e.corrected_abs_err),
-                _cell_num(e.demo_tol),
-            ])
-        header = ["ident", "context", "printed", "corrected", "point",
-                  "printed_value", "corrected_value", "reference_value",
-                  "printed_abs_err", "corrected_abs_err", "demo_tol"]
-        _write_output(_render(header, rows, args.format), args)
+    if args.format != "text":
+        rows = [[getattr(e, name) for name in _ERRATA_HEADER] for e in entries]
+        _write_output(_render(_ERRATA_HEADER, rows, args.format), args)
         return 0
     lines = [f"errata report: {len(entries)} entries", ""]
     for i, e in enumerate(entries, 1):
@@ -362,11 +311,11 @@ def _cmd_errata(parser: _Parser, args) -> int:
             f"  printed:   {e.printed}",
             f"  corrected: {e.corrected}",
             f"  point:     {e.point}",
-            f"  printed value    {_fmt_value(e.printed_value)}"
-            f"  (abs err {_fmt(e.printed_abs_err)})",
-            f"  corrected value  {_fmt_value(e.corrected_value)}"
-            f"  (abs err {_fmt(e.corrected_abs_err)})",
-            f"  reference value  {_fmt_value(e.reference_value)}",
+            f"  printed value    {_text(e.printed_value)}"
+            f"  (abs err {_text(e.printed_abs_err)})",
+            f"  corrected value  {_text(e.corrected_value)}"
+            f"  (abs err {_text(e.corrected_abs_err)})",
+            f"  reference value  {_text(e.reference_value)}",
             "",
         ]
     _write_output("\n".join(lines) + "\n", args)

@@ -26,10 +26,6 @@ _SERIES_EPS = 1e-18
 _CF_TINY = 1e-300
 
 
-def _as_complex(z) -> complex:
-    return complex(z)
-
-
 def _as_index(v) -> int | None:
     """v as a Python int if it is an int or a numpy integer, else None (bools too)."""
     if isinstance(v, bool):
@@ -89,7 +85,7 @@ def e1_complex(z: complex) -> complex:
 
     The n = 1 case of exp_integral_en, with E_1-specific domain errors.
     """
-    z = _as_complex(z)
+    z = complex(z)
     if z == 0:
         raise DomainError("E_1 is singular at z = 0")
     if z.imag == 0.0 and z.real < 0.0:
@@ -140,7 +136,7 @@ def exp_integral_en(n: int, z: complex) -> complex:
     if order is None or order < 0:
         raise DomainError(f"E_n order must be an integer >= 0, got {n!r}")
     n = order
-    z = _as_complex(z)
+    z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0:
         if z == 0:
             if n >= 2:
@@ -194,7 +190,7 @@ def ei(x: float) -> float:
     if x > 40.0:
         return _ei_asymptotic(x)
     # x < -4: Ei(x) = -E_1(-x), argument is on the positive real axis
-    return -_en_cf(1, complex(-x)).real
+    return -exp_integral_en(1, complex(-x)).real
 
 
 def li(x: float) -> float:
@@ -261,7 +257,7 @@ def upper_incomplete_gamma(s: int, z: complex) -> complex:
     if order is None or order < 1:
         raise DomainError(f"first argument must be an integer >= 1, got {s!r}")
     s = order
-    z = _as_complex(z)
+    z = complex(z)
     total = complex(1.0)
     term = complex(1.0)
     for k in range(1, s):
@@ -279,7 +275,7 @@ def _lower_gamma_int(s: int, z: complex) -> complex:
     Tail series gamma(s,z) = (s-1)! e^{-z} sum_{k>=s} z^k/k! for small |z|,
     complement (s-1)! - Gamma(s,z) otherwise.
     """
-    z = _as_complex(z)
+    z = complex(z)
     if abs(z) <= 8.0:
         term = complex(1.0)
         for k in range(1, s + 1):
@@ -333,7 +329,7 @@ def z_antiderivative(n: int, c: complex, x: float, principal_value: bool = True)
     x = float(x)
     if x <= 0.0 or not math.isfinite(x):
         raise DomainError(f"argument must be > 0, got {x!r}")
-    c = _as_complex(c)
+    c = complex(c)
     if c == 0:
         if n == -1:
             return complex(math.log(x))

@@ -101,7 +101,8 @@ def _upward(l: int, x: np.ndarray, f0: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _jl_upward(l: int, x: np.ndarray) -> np.ndarray:
-    return _upward(l, x, np.sin(x) / x, np.cos(x) / x)
+    j0 = np.sin(x) / x
+    return j0 if l == 0 else _upward(l, x, j0, np.cos(x) / x)
 
 
 def _jl_downward(l: int, x: np.ndarray) -> np.ndarray:

@@ -116,6 +116,16 @@ def test_eval_usage_error_exits_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_x_and_definite_together_is_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *SINC3, "--x", "2", "--definite"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.endswith("--x and --definite are mutually exclusive\n")
+
+
 def test_eval_interval_matches_compare(capsys):
     base = ["--n", "3", "--m", "1", "--h", "1", "--k", "0", "--l", "0",
             "--alpha", "1", "--beta", "1", "--mu", "1"]

@@ -46,6 +46,22 @@ GOLDEN_RUNS = {
         "--l", "3", "--alpha", "1.2", "--beta", "0.8", "--mu", "2",
         "--x", "2.5"],
     "errata_json": ["errata", "--format", "json"],
+    "eval_imaginary_json": [
+        "eval", "--n", "1", "--m", "0", "--m-imaginary", "--h", "1",
+        "--k", "2", "--l", "0", "--alpha", "1.2", "--beta", "0.8", "--mu", "2",
+        "--x", "3", "--format", "json"],
+    "eval_csv": [
+        "eval", "--n", "1", "--m", "1", "--h", "2", "--k", "1", "--l", "3",
+        "--alpha", "1.2", "--beta", "0.8", "--mu", "2", "--definite",
+        "--format", "csv"],
+    "ei_table_json": [
+        "ei-table", "--x-min", "-8", "--x-max", "8", "--count", "9",
+        "--format", "json"],
+    "errata_csv": ["errata", "--format", "csv"],
+    "compare_failing": [
+        "compare", "--n", "0,1", "--m", "1", "--h", "0", "--k", "0",
+        "--l", "0,2", "--alpha", "1", "--beta", "1", "--mu", "1",
+        "--pass-abs-tol", "1e-18", "--pass-rel-tol", "1e-17"],
 }
 
 

@@ -62,7 +62,8 @@ def test_ei_root_by_bisection():
 
 
 def test_ei_wide_range_against_e1():
-    # Ei(-x) = -E_1(x) ties the two independent code paths together
+    # Ei(-x) = -E_1(x): for x <= 4 it ties _ei_series to the E_1 series;
+    # for x > 4 both sides run the same E_1 continued fraction
     for x in (0.3, 1.0, 3.9, 4.1, 12.0, 35.0, 50.0):
         lhs = ei(-x)
         rhs = -e1_complex(complex(x, 0.0)).real
