@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -107,20 +108,23 @@ def _add_quad_args(sub: _Parser):
                      default="period_summation")
 
 
-def _specs_from_args(parser: _Parser, args, grid: bool) -> list[IntegralSpec]:
+def _grid_from_args(parser: _Parser, args, grid: bool) -> list[dict]:
+    """The grid as IntegralSpec keyword dicts, one per point. _grid_rows
+    builds each spec inside its row, so a point IntegralSpec rejects gets a
+    status row instead of ending the grid."""
     axes = []
     for name in _SPEC_FIELDS:
         vals = _parse_axis(parser, name, getattr(args, name))
         if not grid and len(vals) != 1:
             parser.error(f"--{name} takes a single value here")
         axes.append(vals)
-    specs = []
+    points = []
     for combo in itertools.product(*axes):
-        kwargs = dict(zip(_SPEC_FIELDS, combo))
+        point = dict(zip(_SPEC_FIELDS, combo), m_imaginary=args.m_imaginary)
         for f in _INT_FIELDS:
-            kwargs[f] = int(kwargs[f])
-        specs.append(IntegralSpec(m_imaginary=args.m_imaginary, **kwargs))
-    return specs
+            point[f] = int(point[f])
+        points.append(point)
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -197,26 +201,27 @@ _ERRATA_HEADER = ["ident", "context", "printed", "corrected", "point",
                   "printed_abs_err", "corrected_abs_err", "demo_tol"]
 
 
-def _spec_values(spec: IntegralSpec) -> list:
-    return [getattr(spec, name) for name in _SPEC_HEADER]
+def _spec_values(point: dict) -> list:
+    return [point[name] for name in _SPEC_HEADER]
 
 
 def _result_values(res) -> list:
     return [res.value, res.method, res.err_estimate, "ok"]
 
 
-def _grid_rows(specs: list[IntegralSpec], values) -> list[list]:
-    """One row per spec: its spec values, then values(spec). A spec that
-    cannot be evaluated gets empty value cells and a status instead."""
+def _grid_rows(points: list[dict], values) -> list[list]:
+    """One row per grid point: its spec values, then values(spec). A point
+    that cannot be evaluated, or is no valid spec, gets empty value cells
+    and a status instead."""
     rows = []
-    for spec in specs:
+    for point in points:
         try:
-            cells = values(spec)
+            cells = values(IntegralSpec(**point))
         except _PRECONDITION_ERRORS:
             cells = [None, None, None, "divergent-precondition"]
         except ArithmeticError:
             cells = [None, None, None, "cannot-evaluate"]
-        rows.append(_spec_values(spec) + cells)
+        rows.append(_spec_values(point) + cells)
     return rows
 
 
@@ -232,29 +237,30 @@ def _evaluator(parser: _Parser, args):
 
 
 def _cmd_eval(parser: _Parser, args) -> int:
-    spec = _specs_from_args(parser, args, grid=False)[0]
+    point = _grid_from_args(parser, args, grid=False)[0]
+    spec = IntegralSpec(**point)
     cells = _result_values(_evaluator(parser, args)(spec))
     if args.format == "text":
         text = "".join(f"{k} {_text(v)}\n"
                        for k, v in zip(_RESULT_FIELDS[:3], cells))
     else:
-        text = _render(_RESULT_HEADER, [_spec_values(spec) + cells],
+        text = _render(_RESULT_HEADER, [_spec_values(point) + cells],
                        args.format, n_spec=len(_SPEC_HEADER))
     _write_output(text, args)
     return 0
 
 
 def _cmd_sweep(parser: _Parser, args) -> int:
-    specs = _specs_from_args(parser, args, grid=True)
+    points = _grid_from_args(parser, args, grid=True)
     evaluate = _evaluator(parser, args)
-    rows = _grid_rows(specs, lambda spec: _result_values(evaluate(spec)))
+    rows = _grid_rows(points, lambda spec: _result_values(evaluate(spec)))
     _write_output(_render(_RESULT_HEADER, rows, args.format,
                           n_spec=len(_SPEC_HEADER)), args)
     return 0
 
 
 def _cmd_compare(parser: _Parser, args) -> int:
-    specs = _specs_from_args(parser, args, grid=True)
+    points = _grid_from_args(parser, args, grid=True)
     cfg = QuadConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
                      tail_policy=args.tail_policy)
     interval = args.x_lo is not None or args.x_hi is not None
@@ -276,7 +282,7 @@ def _cmd_compare(parser: _Parser, args) -> int:
         ok = diff <= max(args.pass_abs_tol, args.pass_rel_tol * abs(oracle))
         return [closed, oracle, diff, "pass" if ok else "fail"]
 
-    rows = _grid_rows(specs, compare)
+    rows = _grid_rows(points, compare)
     _write_output(_render(_COMPARE_HEADER, rows, args.format,
                           n_spec=len(_SPEC_HEADER)), args)
     return 3 if any(row[-1] == "fail" for row in rows) else 0
@@ -326,6 +332,9 @@ def _cmd_errata(parser: _Parser, args) -> int:
 # Parser assembly and entry point
 # ---------------------------------------------------------------------------
 
+# Built once per process: parsing leaves the parser unchanged, and argparse
+# reads the help width when it formats help, not when the parser is built.
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tribessel",
                      description="closed forms and quadrature checks for "

@@ -158,30 +158,55 @@ def _reduce_shape(h: int, k: int, l: int, alpha: float, beta: float,
     sym_a = _j_symbols(h, alpha)
     sym_b = _j_symbols(k, beta)
     sym_c = _j_symbols(l, mu)
+    kinds_a = {kd for _, kd in sym_a}
+    kinds_b = {kd for _, kd in sym_b}
     # trig_decompose depends only on the kind pattern, so each occurring
     # pattern is expanded once, with gamma canonicalized to >= 0 (a sine's
     # sign goes into its weight; -(c*w) == c*(-w) exactly).
-    table = {}
-    for kinds in itertools.product(*({kd for _, kd in sym}
-                                     for sym in (sym_a, sym_b, sym_c))):
-        terms = table[kinds] = []
+    expanded = {}
+    for kinds in itertools.product(kinds_a, kinds_b, {kd for _, kd in sym_c}):
+        terms = expanded[kinds] = []
         for w, kd, g in trig_decompose(alpha, beta, mu, kinds=kinds):
             if g < 0.0:
                 g = -g
                 if kd == "sin":
                     w = -w
-            terms.append((w, kd, g))
-    acc: dict = {}
+            terms.append((w, (kd, g)))
+    # Each distinct (kind, gamma) is a column j, in sorted order, and the key
+    # (d, kind, gamma) has the flat slot (d - d_min) * width + j, so slot
+    # order is key order. j_l's powers run from -1-l to -1, so d - d_min
+    # splits into (qa+1+h) + (qb+1+k) + (qc+1+l).
+    cols = sorted({key for terms in expanded.values() for _, key in terms})
+    width = len(cols)
+    col = {key: j for j, key in enumerate(cols)}
+    # per (ka, kb), each c factor as cc and the (slot, weight) of its
+    # pattern's 4 terms, so the inner loop is unrolled
+    rows_c = {}
+    for ka in kinds_a:
+        for kb in kinds_b:
+            rows = rows_c[ka, kb] = []
+            for (qc, kc), cc in sym_c.items():
+                off = (qc + l + 1) * width
+                (w0, c0), (w1, c1), (w2, c2), (w3, c3) = expanded[ka, kb, kc]
+                rows.append((cc, off + col[c0], w0, off + col[c1], w1,
+                             off + col[c2], w2, off + col[c3], w3))
+    # Each slot gets its additions in the order the (a, b, c, term) loop
+    # visits them, starting from 0.0, so the sums are bit for bit those of
+    # a per-key dict; ca * cb * cc groups as (ca * cb) * cc.
+    acc = [0.0] * ((h + k + l + 1) * width)
     for (qa, ka), ca in sym_a.items():
         for (qb, kb), cb in sym_b.items():
-            for (qc, kc), cc in sym_c.items():
-                cprod = ca * cb * cc
-                d = qa + qb + qc
-                for w, kd, g in table[ka, kb, kc]:
-                    key = (d, kd, g)
-                    acc[key] = acc.get(key, 0.0) + cprod * w
-    return tuple((d, kd, g, complex(c))
-                 for (d, kd, g), c in sorted(acc.items()) if c != 0.0)
+            cab = ca * cb
+            base = (qa + qb + h + k + 2) * width
+            for cc, s0, w0, s1, w1, s2, w2, s3, w3 in rows_c[ka, kb]:
+                cprod = cab * cc
+                acc[base + s0] += cprod * w0
+                acc[base + s1] += cprod * w1
+                acc[base + s2] += cprod * w2
+                acc[base + s3] += cprod * w3
+    d_min = -3 - h - k - l
+    return tuple((d_min + s // width, *cols[s % width], complex(c))
+                 for s, c in enumerate(acc) if c != 0.0)
 
 
 def reduce_orders(spec: IntegralSpec) -> list[BaseTerm]:

@@ -165,6 +165,22 @@ def test_compare_divergent_row_is_status_not_crash(capsys):
     assert any(line.endswith(",pass") for line in lines[1:])
 
 
+def test_compare_rejected_spec_is_status_row(capsys):
+    # m = 1 with --m-imaginary is no valid spec; the m = 0 row still runs
+    code, out, _ = run(capsys, ["compare", "--n", "0", "--m", "0,1",
+                                "--m-imaginary", "--h", "0", "--k", "0",
+                                "--l", "0", "--alpha", "1", "--beta", "1.1",
+                                "--mu", "0.9", "--x-lo", "1", "--x-hi", "2",
+                                "--format", "csv"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 3
+    assert lines[1].endswith(",pass")
+    assert lines[2] == ("0.000000000000e+00,1.000000000000e+00,0,0,0,"
+                        "1.000000000000e+00,1.100000000000e+00,"
+                        "9.000000000000e-01,true,,,,divergent-precondition")
+
+
 def test_compare_empty_grid_header_only(capsys):
     code, out, _ = run(capsys, ["compare", "--n", "", "--m", "1", "--h", "0",
                                 "--k", "0", "--l", "0", "--alpha", "1",
@@ -205,6 +221,21 @@ def test_sweep_marks_divergent_rows(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[1].endswith("divergent-precondition")
+    assert lines[2].endswith(",ok")
+
+
+def test_sweep_rejected_spec_is_status_row(capsys):
+    # alpha = 0 is no valid spec; its row keeps the grid values it was given
+    code, out, _ = run(capsys, ["sweep", "--n", "0", "--m", "1",
+                                "--h", "0", "--k", "0", "--l", "0",
+                                "--alpha", "0,1", "--beta", "1", "--mu", "1",
+                                "--definite", "--format", "csv"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 3
+    assert lines[1] == ("0.000000000000e+00,1.000000000000e+00,0,0,0,"
+                        "0.000000000000e+00,1.000000000000e+00,"
+                        "1.000000000000e+00,false,,,,divergent-precondition")
     assert lines[2].endswith(",ok")
 
 

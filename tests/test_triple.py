@@ -246,6 +246,16 @@ def _hoist_shapes():
                   (1.1, 1.1, 0.4), (2.0, 1.0, 1.0)):
         shapes += [(*(int(o) for o in rng.integers(0, 9, size=3)), *freqs)
                    for _ in range(8)]
+    # orders 9-16 with frequencies spread over 1e-2...1e2
+    shapes += [(*(int(o) for o in rng.integers(9, 17, size=3)),
+                *(float(v) for v in 10.0 ** rng.uniform(-2.0, 2.0, size=3)))
+               for _ in range(24)]
+    # gamma = 0 sums of frequencies far apart (exact and rounded), and
+    # 0.3 + 0.6 - 0.9, which rounds to -1.1e-16 instead of 0
+    for freqs in ((0.015625, 64.0, 64.015625), (0.01, 100.0, 100.01),
+                  (50.0, 0.02, 50.02), (0.3, 0.6, 0.9)):
+        shapes += [(*(int(o) for o in rng.integers(0, 17, size=3)), *freqs)
+                   for _ in range(4)]
     return shapes
 
 
@@ -258,7 +268,7 @@ def test_reduce_shape_matches_per_triple_reference_bit_for_bit():
         assert got == want, shape
         assert _with_signs(got) == _with_signs(want), shape
         zero_gamma += any(g == 0.0 for _, _, g, _ in got)
-    assert len(shapes) == 200
+    assert len(shapes) == 240
     assert zero_gamma >= 16  # the degenerate shapes reach gamma = 0
 
 
