@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expint import ei
+from .expint import ei, upper_incomplete_gamma
 from .oracle import (
     QuadConfig,
     finite_diff_derivative,
@@ -23,11 +23,18 @@ from .oracle import (
 )
 from .sphfun import (
     legendre_p,
+    plane_wave_partial_sum,
     sph_bessel_j,
     sph_bessel_n,
     sph_hankel1,
 )
-from .triple import IntegralSpec, eval_definite, special_case_000
+from .triple import (
+    IntegralSpec,
+    eval_definite,
+    integrand,
+    special_case_000,
+    trig_decompose,
+)
 
 
 @dataclass(frozen=True)
@@ -233,11 +240,8 @@ def _entry_hankel_asymptotic() -> ErrataEntry:
 def _entry_planewave_fixed_order() -> ErrataEntry:
     kr, u, l_max = 5.0, 0.6, 40
     printed = 0j
-    corrected = 0j
     for l in range(l_max + 1):
-        p = legendre_p(l, u)
-        printed += (2 * l + 1) * 1j ** l * sph_bessel_j(1, kr) * p
-        corrected += (2 * l + 1) * 1j ** l * sph_bessel_j(l, kr) * p
+        printed += (2 * l + 1) * 1j ** l * sph_bessel_j(1, kr) * legendre_p(l, u)
     return ErrataEntry(
         ident="planewave-fixed-order",
         context="expansion of e^{i k r u} over Legendre polynomials",
@@ -245,7 +249,7 @@ def _entry_planewave_fixed_order() -> ErrataEntry:
         corrected="sum (2l+1) i^l j_l(kr) P_l(u)",
         point=f"kr = {kr}, u = {u}, summed through l = {l_max}",
         printed_value=printed,
-        corrected_value=corrected,
+        corrected_value=plane_wave_partial_sum(kr, u, l_max),
         reference_value=cmath.exp(1j * kr * u),
         demo_tol=1e-10,
     )
@@ -257,10 +261,8 @@ def _entry_triple_sine() -> ErrataEntry:
     A, B, C = a * x, b * x, c * x
     lhs = math.sin(A) * math.sin(B) * math.sin(C)
     printed = -math.sin(A + B + C) + math.sin(A - B + C) + math.sin(A + B - C)
-    corrected = 0.25 * (
-        math.sin(A + B - C) + math.sin(B + C - A) + math.sin(C + A - B)
-        - math.sin(A + B + C)
-    )
+    # the three-sine row of the product-to-sum rule the reduction uses
+    corrected = sum(w * math.sin(g * x) for w, _, g in trig_decompose(a, b, c))
     return ErrataEntry(
         ident="triple-sine-identity",
         context="product-to-sum identity for three sines",
@@ -370,15 +372,11 @@ def _entry_allzero_assembly() -> ErrataEntry:
     n, m, a, b, u = 1, 0.5, 1.3, 0.7, 2.1
     x1, x2 = 0.8, 2.4
     spec = IntegralSpec(n=n, m=m, h=0, k=0, l=0, alpha=a, beta=b, mu=u)
-    from .triple import integrand  # local import to keep module deps one-way
-
     ref = quad_finite(integrand(spec), x1, x2).value.real
 
     def printed_f(x):
         # as printed: -i/(2 a b u) * [A + B + C], three frequencies, power n,
         # upper incomplete gamma of order n+1 (x^{n+1} [xW]^{-n-1} = W^{-n-1})
-        from .expint import upper_incomplete_gamma
-
         total = 0j
         for g, sign in ((a - b + u, 1.0), (a + b - u, 1.0), (a + b + u, -1.0)):
             wp = m + 1j * g

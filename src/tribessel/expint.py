@@ -24,6 +24,7 @@ EULER_GAMMA = 0.57721566490153286061
 
 _SERIES_EPS = 1e-18
 _CF_TINY = 1e-300
+_CF_MAXITER = 4000
 
 
 def _as_index(v) -> int | None:
@@ -54,7 +55,7 @@ def _series_preferred(n: int, z: complex) -> bool:
     return z.real < 0.0 and (r + z.real) <= 6.0 and r <= 300.0
 
 
-def _en_cf(n: int, z: complex, maxiter: int = 4000) -> complex:
+def _en_cf(n: int, z: complex) -> complex:
     """Modified-Lentz continued fraction for E_n(z), |arg z| < pi.
 
     E_n(z) = e^{-z} / (z + n - 1*n/(z + n + 2 - 2(n+1)/(z + n + 4 - ...)))
@@ -63,7 +64,7 @@ def _en_cf(n: int, z: complex, maxiter: int = 4000) -> complex:
     c = complex(1.0 / _CF_TINY)
     d = 1.0 / b if b != 0 else complex(1.0 / _CF_TINY)
     h = d
-    for i in range(1, maxiter):
+    for i in range(1, _CF_MAXITER):
         a = -i * (n - 1 + i)
         b += 2
         d = a * d + b

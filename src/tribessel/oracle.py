@@ -212,8 +212,7 @@ def _tail_bound_undamped(spec: IntegralSpec, x: float) -> float:
     return bound
 
 
-def _period_summation_tail(f, x0: float, spec: IntegralSpec,
-                           config: QuadConfig):
+def _period_summation_tail(f, x0: float, spec: IntegralSpec):
     """Integral of f over [x0, inf) by half-period cells + repeated averaging.
 
     Cells have length pi / (alpha + beta + mu); partial sums are averaged
@@ -279,8 +278,6 @@ def quad_semi_infinite(spec: IntegralSpec,
     value = head.value
     err = head.err_estimate
     converged = head.converged
-    g_fast = max(_combined_frequencies(spec))
-    split = math.pi / g_fast
 
     if m > 0.0 or config.tail_policy == "exponential_bound":
         if m > 0.0:
@@ -294,6 +291,7 @@ def quad_semi_infinite(spec: IntegralSpec,
                     converged = False
                     break
             tail_err = _tail_bound_undamped(spec, x_max)
+        split = math.pi / max(_combined_frequencies(spec))
         points = np.arange(x0 + split, x_max, split)
         body = quad_finite(f, x0, x_max, config, points=points)
         value += body.value
@@ -301,7 +299,7 @@ def quad_semi_infinite(spec: IntegralSpec,
         converged = converged and body.converged
         method = "gk_adaptive+exponential_bound"
     else:
-        tail_val, tail_err = _period_summation_tail(f, x0, spec, config)
+        tail_val, tail_err = _period_summation_tail(f, x0, spec)
         value += tail_val
         err += tail_err
         converged = converged and tail_err <= 10.0 * max(

@@ -96,33 +96,40 @@ class EvalResult:
 # Product-to-sum reduction
 # ---------------------------------------------------------------------------
 
+# The product-to-sum rule for three sines/cosines: kinds -> (output kind,
+# weights of kind(A+B+C), kind(A+B-C), kind(A-B+C), kind(A-B-C)). The
+# three-sine row is the corrected identity
+# 4 sinA sinB sinC = sin(A+B-C) + sin(B+C-A) + sin(C+A-B) - sin(A+B+C).
+_PRODUCT_TO_SUM = {
+    ("sin", "sin", "sin"): ("sin", (-0.25, 0.25, 0.25, -0.25)),
+    ("sin", "sin", "cos"): ("cos", (-0.25, -0.25, 0.25, 0.25)),
+    ("sin", "cos", "sin"): ("cos", (-0.25, 0.25, -0.25, 0.25)),
+    ("sin", "cos", "cos"): ("sin", (0.25, 0.25, 0.25, 0.25)),
+    ("cos", "sin", "sin"): ("cos", (-0.25, 0.25, 0.25, -0.25)),
+    ("cos", "sin", "cos"): ("sin", (0.25, 0.25, -0.25, -0.25)),
+    ("cos", "cos", "sin"): ("sin", (0.25, -0.25, 0.25, -0.25)),
+    ("cos", "cos", "cos"): ("cos", (0.25, 0.25, 0.25, 0.25)),
+}
+
+
+def _frequency_sums(a: float, b: float, c: float) -> tuple:
+    """a+b+c, a+b-c, a-b+c and a-b-c, in _PRODUCT_TO_SUM's weight order."""
+    return (a + b + c, a + b - c, a - b + c, a - b - c)
+
+
 def trig_decompose(a: float, b: float, c: float,
                    kinds: tuple[str, str, str] = ("sin", "sin", "sin")):
     """Expand a product of three sines/cosines into 4 signed-frequency terms.
 
     Returns [(weight, kind, frequency)] with frequencies a+b+c, a+b-c, a-b+c,
-    a-b-c (possibly negative). The all-sin case is the corrected identity
-    4 sinA sinB sinC = sin(A+B-C) + sin(B+C-A) + sin(C+A-B) - sin(A+B+C).
+    a-b-c (possibly negative), by the rule in _PRODUCT_TO_SUM. Any kinds
+    other than three of "sin"/"cos" raise DomainError.
     """
-    for kd in kinds:
-        if kd not in ("sin", "cos"):
-            raise DomainError(f"kinds must be 'sin' or 'cos', got {kd!r}")
-    sin_idx = [i for i, kd in enumerate(kinds) if kd == "sin"]
-    n_sin = len(sin_idx)
-    out_kind = "sin" if n_sin % 2 == 1 else "cos"
-    if n_sin % 2 == 1:
-        base = 0.25 if n_sin == 1 else -0.25
-    else:
-        base = 0.25 if n_sin == 0 else -0.25
-    terms = []
-    for s2 in (1.0, -1.0):
-        for s3 in (1.0, -1.0):
-            sigma = (1.0, s2, s3)
-            parity = 1.0
-            for i in sin_idx:
-                parity *= sigma[i]
-            terms.append((base * parity, out_kind, a + s2 * b + s3 * c))
-    return terms
+    rule = _PRODUCT_TO_SUM.get(tuple(kinds))
+    if rule is None:
+        raise DomainError(f"kinds must be three of 'sin'/'cos', got {kinds!r}")
+    out_kind, weights = rule
+    return [(w, out_kind, g) for w, g in zip(weights, _frequency_sums(a, b, c))]
 
 
 def _j_symbols(l: int, gamma: float):
@@ -160,18 +167,16 @@ def _reduce_shape(h: int, k: int, l: int, alpha: float, beta: float,
     sym_c = _j_symbols(l, mu)
     kinds_a = {kd for _, kd in sym_a}
     kinds_b = {kd for _, kd in sym_b}
-    # trig_decompose depends only on the kind pattern, so each occurring
-    # pattern is expanded once, with gamma canonicalized to >= 0 (a sine's
-    # sign goes into its weight; -(c*w) == c*(-w) exactly).
+    # The four frequency sums are formed once, as |gamma| and sign: cos is
+    # even, and a sine's sign goes into its weight (-(c*w) == c*(-w)
+    # exactly). Each occurring kind pattern reads its weights from the rule.
+    sums = [(-g, -1.0) if g < 0.0 else (g, 1.0)
+            for g in _frequency_sums(alpha, beta, mu)]
     expanded = {}
     for kinds in itertools.product(kinds_a, kinds_b, {kd for _, kd in sym_c}):
-        terms = expanded[kinds] = []
-        for w, kd, g in trig_decompose(alpha, beta, mu, kinds=kinds):
-            if g < 0.0:
-                g = -g
-                if kd == "sin":
-                    w = -w
-            terms.append((w, (kd, g)))
+        out_kind, weights = _PRODUCT_TO_SUM[kinds]
+        expanded[kinds] = [(w * sign if out_kind == "sin" else w, (out_kind, g))
+                           for w, (g, sign) in zip(weights, sums)]
     # Each distinct (kind, gamma) is a column j, in sorted order, and the key
     # (d, kind, gamma) has the flat slot (d - d_min) * width + j, so slot
     # order is key order. j_l's powers run from -1-l to -1, so d - d_min
@@ -356,17 +361,9 @@ def special_case_000(n: int, m: float, alpha: float, beta: float, mu: float,
     x = float(x)
     if x <= 0.0 or not math.isfinite(x):
         raise DomainError(f"argument must be > 0, got {x!r}")
-    for name, v in (("alpha", alpha), ("beta", beta), ("mu", mu)):
-        if not math.isfinite(float(v)) or float(v) <= 0.0:
-            raise DomainError(f"frequency {name} must be nonzero positive, got {v!r}")
-    if m_imaginary:
-        if float(m) != 0.0:
-            raise DomainError("set m=0 when m_imaginary=True")
-        damping = 1j
-    else:
-        if float(m) < 0.0:
-            raise DomainError(f"damping must be >= 0, got {m}")
-        damping = complex(float(m))
+    # the orders-zero spec checks m, m_imaginary and the frequencies
+    damping = IntegralSpec(n=n, m=m, h=0, k=0, l=0, alpha=alpha, beta=beta,
+                           mu=mu, m_imaginary=m_imaginary).damping
     p = int(n) - 3
     freqs = (
         (alpha - beta + mu, 1.0),

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
 from tribessel.cli import main
+from tribessel.triple import eval_indefinite
 
 THREE_PI_8 = "1.178097245096"
 
@@ -179,6 +181,33 @@ def test_compare_rejected_spec_is_status_row(capsys):
     assert lines[2] == ("0.000000000000e+00,1.000000000000e+00,0,0,0,"
                         "1.000000000000e+00,1.100000000000e+00,"
                         "9.000000000000e-01,true,,,,divergent-precondition")
+
+
+def test_compare_interval_imaginary_weight_keeps_imaginary_part(
+        capsys, monkeypatch):
+    argv = ["compare", "--n", "1", "--m", "0", "--m-imaginary", "--h", "1",
+            "--k", "0", "--l", "0", "--alpha", "1.2", "--beta", "0.8",
+            "--mu", "2", "--x-lo", "1", "--x-hi", "2", "--format", "csv"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    # both sides are 0.0238945...-0.0200391...j
+    assert row[9].startswith("2.389454124") and row[9].endswith("j")
+    assert "-2.003912767" in row[9]
+    assert row[10].startswith("2.389454124") and "-2.003912767" in row[10]
+    assert float(row[11]) < 1e-12 and row[12] == "pass"
+
+    # a closed form with the wrong sign of its imaginary part must fail
+    def conjugated(spec, x):
+        res = eval_indefinite(spec, x)
+        return dataclasses.replace(res, value=res.value.conjugate())
+
+    monkeypatch.setattr("tribessel.cli.eval_indefinite", conjugated)
+    code, out, _ = run(capsys, argv)
+    assert code == 3
+    row = out.strip().splitlines()[1].split(",")
+    assert math.isclose(float(row[11]), 2 * 0.0200391276706696, rel_tol=1e-9)
+    assert row[12] == "fail"
 
 
 def test_compare_empty_grid_header_only(capsys):

@@ -99,6 +99,7 @@ def test_trig_decompose_degenerate_frequency_retained():
     ("sin", "sin", "sin"), ("sin", "sin", "cos"),
     ("sin", "cos", "cos"), ("cos", "cos", "cos"),
     ("cos", "sin", "cos"), ("sin", "cos", "sin"),
+    ("cos", "cos", "sin"), ("cos", "sin", "sin"),
 ])
 def test_trig_decompose_pointwise_identity(kinds):
     rng = np.random.default_rng(11)
@@ -110,6 +111,14 @@ def test_trig_decompose_pointwise_identity(kinds):
         got = sum(w * fn[kind](g * x)
                   for w, kind, g in trig_decompose(a, b, c, kinds))
         assert abs(got - want) <= 1e-13
+
+
+@pytest.mark.parametrize("kinds", [
+    ("sin", "sin"), ("sin", "cos", "cos", "sin"), ("sin", "tan", "cos"),
+])
+def test_trig_decompose_rejects_bad_kinds(kinds):
+    with pytest.raises(DomainError, match="kinds"):
+        trig_decompose(1.2, 0.8, 2.0, kinds)
 
 
 # --- order reduction -------------------------------------------------------------
@@ -385,6 +394,12 @@ def test_special_case_derivative():
 def test_special_case_rejects_negative_power():
     with pytest.raises(UnsupportedPowerError):
         special_case_000(-1, 1.0, 1.0, 1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf])
+def test_special_case_rejects_non_finite_damping(m):
+    with pytest.raises(DomainError, match="damping"):
+        special_case_000(1, m, 1.2, 0.8, 2.0, 1.5)
 
 
 # --- definite integral ----------------------------------------------------------------
