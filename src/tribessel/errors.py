@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that
+every module states once here: an integer argument and a positive one."""
+
+import math
+import operator
 
 
 class DomainError(ValueError):
@@ -19,3 +23,27 @@ class SingularCombinationError(ValueError):
 
 class UnsupportedPowerError(ValueError):
     """The power parameter is outside the range a closed form supports."""
+
+
+def check_integer(v, what: str, minimum: int | None = None,
+                  error: type = DomainError) -> int:
+    """v as a Python int if it is an int or a numpy integer (a bool of
+    either kind is not) and at least minimum; anything else raises error."""
+    if not isinstance(v, bool):
+        try:
+            i = operator.index(v)
+        except TypeError:
+            pass
+        else:
+            if minimum is None or i >= minimum:
+                return i
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise error(f"{what} must be an integer{bound}, got {v!r}")
+
+
+def check_positive(x) -> float:
+    """x as a float if it is finite and > 0, else DomainError."""
+    x = float(x)
+    if not math.isfinite(x) or x <= 0.0:
+        raise DomainError(f"argument must be > 0, got {x!r}")
+    return x

@@ -15,9 +15,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 
-from .errors import BranchCutError, DomainError
+from .errors import BranchCutError, DomainError, check_integer, check_positive
 
 # Euler-Mascheroni constant, 20 digits.
 EULER_GAMMA = 0.57721566490153286061
@@ -25,16 +24,6 @@ EULER_GAMMA = 0.57721566490153286061
 _SERIES_EPS = 1e-18
 _CF_TINY = 1e-300
 _CF_MAXITER = 4000
-
-
-def _as_index(v) -> int | None:
-    """v as a Python int if it is an int or a numpy integer, else None (bools too)."""
-    if isinstance(v, bool):
-        return None
-    try:
-        return operator.index(v)
-    except TypeError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +73,9 @@ def _en_cf(n: int, z: complex) -> complex:
 def e1_complex(z: complex) -> complex:
     """Exponential integral E_1(z) for complex z off the negative real axis.
 
-    The n = 1 case of exp_integral_en, with E_1-specific domain errors.
+    The n = 1 case of exp_integral_en, which states the domain; ei(-x) is
+    the real principal value on the negative real axis.
     """
-    z = complex(z)
-    if z == 0:
-        raise DomainError("E_1 is singular at z = 0")
-    if z.imag == 0.0 and z.real < 0.0:
-        raise BranchCutError(
-            "E_1 has a branch cut on the negative real axis; "
-            "use ei(-x) for the real principal value"
-        )
     return exp_integral_en(1, z)
 
 
@@ -133,10 +115,7 @@ def exp_integral_en(n: int, z: complex) -> complex:
     fraction, as _series_preferred chooses. z must avoid the negative real
     axis; z = 0 is a pole for n <= 1 and gives 1/(n-1) for n >= 2.
     """
-    order = _as_index(n)
-    if order is None or order < 0:
-        raise DomainError(f"E_n order must be an integer >= 0, got {n!r}")
-    n = order
+    n = check_integer(n, "E_n order", 0)
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0:
         if z == 0:
@@ -254,10 +233,7 @@ def upper_incomplete_gamma(s: int, z: complex) -> complex:
 
     Uses the exact finite sum Gamma(s, z) = (s-1)! e^{-z} sum_{k=0}^{s-1} z^k/k!.
     """
-    order = _as_index(s)
-    if order is None or order < 1:
-        raise DomainError(f"first argument must be an integer >= 1, got {s!r}")
-    s = order
+    s = check_integer(s, "first argument", 1)
     z = complex(z)
     total = complex(1.0)
     term = complex(1.0)
@@ -323,13 +299,8 @@ def z_antiderivative(n: int, c: complex, x: float, principal_value: bool = True)
     principal value (Ei-based) is returned unless principal_value=False.
     c = 0 degenerates to the pure power x^{n+1}/(n+1), or log x at n = -1.
     """
-    power = _as_index(n)
-    if power is None:
-        raise DomainError(f"power must be an integer, got {n!r}")
-    n = power
-    x = float(x)
-    if x <= 0.0 or not math.isfinite(x):
-        raise DomainError(f"argument must be > 0, got {x!r}")
+    n = check_integer(n, "power")
+    x = check_positive(x)
     c = complex(c)
     if c == 0:
         if n == -1:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
+from .errors import DomainError
 from .triple import EvalResult, IntegralSpec, integrand, reduce_orders
 
 # Gauss-Kronrod 15-point nodes/weights with the embedded 7-point Gauss rule,
@@ -258,19 +258,14 @@ def quad_semi_infinite(spec: IntegralSpec,
                        config: QuadConfig | None = None) -> EvalResult:
     """Oracle value of int_0^inf x^n e^{-mx} j_h j_k j_l dx.
 
-    Same convergence preconditions as the closed form: n > -1 and either
-    m > 0 or (m = 0 with n < 2). The m = 0 tail follows config.tail_policy.
+    It exists where the closed form's does (IntegralSpec.check_convergence).
+    The m = 0 tail follows config.tail_policy.
     """
     if config is None:
         config = QuadConfig()
-    if spec.m_imaginary:
-        raise DivergenceError("semi-infinite quadrature needs real damping m")
+    spec.check_convergence()
     n = float(spec.n)
     m = float(spec.m)
-    if n <= -1.0:
-        raise DivergenceError(f"needs n > -1 at the origin, got n={n}")
-    if m == 0.0 and n >= 2.0:
-        raise DivergenceError(f"m = 0 needs n < 2 at infinity, got n={n}")
 
     f = integrand(spec)
     x0 = 1.0

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer, check_positive
 
 # Downward recurrence is renormalized whenever trial values exceed this.
 _RESCALE_LIMIT = 1e250
@@ -38,21 +38,6 @@ _SERIES_MAX_TERMS = 59
 # Below this |sin x| the j_0 Miller normalization is ill-conditioned and the
 # j_1 reference is used instead.
 _J0_NORM_FLOOR = 0.1
-
-
-def _check_order(l: int) -> int:
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
-        raise DomainError(f"order must be an integer, got {l!r}")
-    if l < 0:
-        raise DomainError(f"order must be >= 0, got {l}")
-    return int(l)
-
-
-def _check_positive_x(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"argument must be > 0, got {x!r}")
-    return x
 
 
 def _jl_series(l: int, x: np.ndarray) -> np.ndarray:
@@ -184,14 +169,14 @@ def sph_bessel_j(l: int, x: float) -> float:
     x : float
         Argument, x > 0. Use sph_bessel_j_at_zero for the x = 0 limit.
     """
-    l = _check_order(l)
-    x = _check_positive_x(x)
+    l = check_integer(l, "order", 0)
+    x = check_positive(x)
     return float(_jl_vec(l, np.array([x]))[0])
 
 
 def sph_bessel_j_at_zero(l: int) -> float:
     """Limit value j_l(0): 1 for l = 0, exactly 0 for every l >= 1."""
-    l = _check_order(l)
+    l = check_integer(l, "order", 0)
     return 1.0 if l == 0 else 0.0
 
 
@@ -206,8 +191,8 @@ def sph_bessel_n(l: int, x: float) -> float:
     Upward recurrence is stable for n_l at every x > 0. Raises OverflowError
     when the value exceeds double range (tiny x at large order).
     """
-    l = _check_order(l)
-    x = _check_positive_x(x)
+    l = check_integer(l, "order", 0)
+    x = check_positive(x)
     val = float(_nl_vec(l, np.array([x]))[0])
     if not math.isfinite(val):
         raise OverflowError(f"n_{l}({x}) exceeds double-precision range")
@@ -237,7 +222,7 @@ def _pl_all(l_max: int, u: float) -> np.ndarray:
 
 def legendre_p(l: int, u: float) -> float:
     """Legendre polynomial P_l(u) on [-1, 1] by the three-term recurrence."""
-    l = _check_order(l)
+    l = check_integer(l, "order", 0)
     u = float(u)
     if not -1.0 <= u <= 1.0:
         raise DomainError(f"Legendre argument must lie in [-1, 1], got {u}")
@@ -250,7 +235,7 @@ def plane_wave_partial_sum(kr: float, u: float, l_max: int) -> complex:
     Converges to exp(i * kr * u) as l_max grows; l_max >= ceil(kr) + 25 is
     enough for ~1e-8 absolute accuracy for kr <= 20.
     """
-    l_max = _check_order(l_max)
+    l_max = check_integer(l_max, "order", 0)
     kr = float(kr)
     if kr < 0.0 or not math.isfinite(kr):
         raise DomainError(f"kr must be >= 0, got {kr!r}")

@@ -26,9 +26,24 @@ from .errors import (
     DomainError,
     SingularCombinationError,
     UnsupportedPowerError,
+    check_integer,
+    check_positive,
 )
 from .expint import _harmonic, _lower_gamma_int, exp_integral_en, z_antiderivative
 from .sphfun import _jl_vec
+
+
+def _damping(m: float, m_imaginary: bool) -> complex:
+    """The damping w of the weight e^{-wx}: a finite real m >= 0, or exactly
+    i when m_imaginary is set (m must then be 0)."""
+    w = float(m)
+    if m_imaginary:
+        if w != 0.0:
+            raise DomainError("set m=0 when m_imaginary=True; the damping is exactly i")
+        return 1j
+    if not math.isfinite(w) or w < 0.0:
+        raise DomainError(f"damping m must be >= 0, got {m!r}")
+    return complex(w)
 
 
 @dataclass(frozen=True)
@@ -52,9 +67,7 @@ class IntegralSpec:
 
     def __post_init__(self):
         for name in ("h", "k", "l"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:
-                raise DomainError(f"order {name} must be an integer >= 0, got {v!r}")
+            check_integer(getattr(self, name), f"order {name}", 0)
         for name in ("alpha", "beta", "mu"):
             v = float(getattr(self, name))
             if not math.isfinite(v) or v <= 0.0:
@@ -63,15 +76,26 @@ class IntegralSpec:
                 )
         if not math.isfinite(float(self.n)):
             raise DomainError(f"power n must be finite, got {self.n!r}")
-        if self.m_imaginary:
-            if float(self.m) != 0.0:
-                raise DomainError("set m=0 when m_imaginary=True; the damping is exactly i")
-        elif not math.isfinite(float(self.m)) or float(self.m) < 0.0:
-            raise DomainError(f"damping m must be >= 0, got {self.m!r}")
+        _damping(self.m, self.m_imaginary)
 
     @property
     def damping(self) -> complex:
-        return 1j if self.m_imaginary else complex(float(self.m))
+        return _damping(self.m, self.m_imaginary)
+
+    def check_convergence(self) -> None:
+        """Raise DivergenceError unless the integral over [0, inf) converges:
+        it needs real damping, n > -1 at the origin and, at infinity, m > 0
+        or n < 2. This is the one statement of that rule."""
+        if self.m_imaginary:
+            raise DivergenceError(
+                "the e^{-ix} weight does not damp the integrand; the semi-infinite "
+                "integral is only defined for real m"
+            )
+        n = float(self.n)
+        if n <= -1.0:
+            raise DivergenceError(f"needs n > -1 at the origin, got n={n}")
+        if float(self.m) == 0.0 and n >= 2.0:
+            raise DivergenceError(f"m = 0 needs n < 2 at infinity, got n={n}")
 
 
 @dataclass(frozen=True)
@@ -273,17 +297,16 @@ def antiderivative_base(term: BaseTerm, m: float, x: float,
     """Antiderivative at x of coeff * t^p e^{-mt} kind(gamma t) dt.
 
     Degenerate gamma = 0 terms route to the pure-exponential form
-    (sin contributes 0; cos drops to x^p e^{-mt}).
+    (sin contributes 0; cos drops to x^p e^{-mt}). m and m_imaginary obey
+    IntegralSpec's damping rule.
     """
-    x = float(x)
-    if x <= 0.0 or not math.isfinite(x):
-        raise DomainError(f"argument must be > 0, got {x!r}")
+    x = check_positive(x)
     p_int = int(round(float(term.p)))
     if abs(float(term.p) - p_int) > 1e-9:
         raise DomainError(
             f"base antiderivatives need an integer power, got p={term.p!r}"
         )
-    damping = 1j if m_imaginary else complex(float(m))
+    damping = _damping(m, m_imaginary)
     gamma = float(term.gamma)
     if gamma == 0.0:
         if term.kind == "sin":
@@ -308,9 +331,7 @@ def eval_indefinite(spec: IntegralSpec, x: float) -> EvalResult:
     n = float(spec.n)
     if abs(n - round(n)) > 1e-12:
         raise DomainError(f"the indefinite closed form requires integer n, got {n}")
-    x = float(x)
-    if x <= 0.0 or not math.isfinite(x):
-        raise DomainError(f"argument must be > 0, got {x!r}")
+    x = check_positive(x)
     total = 0j
     scale = 0.0
     for term in reduce_orders(spec):
@@ -354,17 +375,12 @@ def special_case_000(n: int, m: float, alpha: float, beta: float, mu: float,
     over the corrected signed frequencies (alpha-beta+mu, beta+mu-alpha,
     alpha+beta-mu) with weight +1 and (alpha+beta+mu) with weight -1.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise UnsupportedPowerError(f"n must be an integer, got {n!r}")
-    if n < 0:
-        raise UnsupportedPowerError(f"the direct assembly needs n >= 0, got {n}")
-    x = float(x)
-    if x <= 0.0 or not math.isfinite(x):
-        raise DomainError(f"argument must be > 0, got {x!r}")
+    n = check_integer(n, "n", 0, UnsupportedPowerError)
+    x = check_positive(x)
     # the orders-zero spec checks m, m_imaginary and the frequencies
     damping = IntegralSpec(n=n, m=m, h=0, k=0, l=0, alpha=alpha, beta=beta,
                            mu=mu, m_imaginary=m_imaginary).damping
-    p = int(n) - 3
+    p = n - 3
     freqs = (
         (alpha - beta + mu, 1.0),
         (beta + mu - alpha, 1.0),
@@ -463,29 +479,21 @@ def _definite_term(p: float, m: float, gamma: float, kind: str,
 def eval_definite(spec: IntegralSpec) -> EvalResult:
     """Definite integral int_0^inf x^n e^{-mx} j_h j_k j_l dx in closed form.
 
-    Convergence needs n > -1 at the origin and (m > 0) or (m = 0 with n < 2)
-    at infinity; every such n takes the same term-by-term sum. Within 0.25
-    of an integer n0 >= 0 the terms near Gamma poles contribute their finite
-    parts (_gamma_power). The dropped pole parts add up to Gamma(1+r)/r
-    times sum coeff * K, the x^-1 coefficient of the integrand's small-x
-    expansion at n0, which is zero. With m > 0 that makes the residue zero:
-    the poles in n lie at n <= -1 - h - k - l. With m = 0 the scaleless
-    gamma = 0 term takes no part in the sum, and a non-oscillating x^(n-3)
-    tail makes n = 2 a genuine pole; _definite_term puts it back. At n0 = -1
-    the pole is genuine for h = k = l = 0, so n in (-1, -0.75) keeps the
-    full Gamma prefactors.
+    Where spec.check_convergence admits the integral, every n takes the
+    same term-by-term sum. Within 0.25 of an integer n0 >= 0 the terms near
+    Gamma poles contribute their finite parts (_gamma_power). The dropped
+    pole parts add up to Gamma(1+r)/r times sum coeff * K, the x^-1
+    coefficient of the integrand's small-x expansion at n0, which is zero.
+    With m > 0 that makes the residue zero: the poles in n lie at
+    n <= -1 - h - k - l. With m = 0 the scaleless gamma = 0 term takes no
+    part in the sum, and a non-oscillating x^(n-3) tail makes n = 2 a
+    genuine pole; _definite_term puts it back. At n0 = -1 the pole is
+    genuine for h = k = l = 0, so n in (-1, -0.75) keeps the full Gamma
+    prefactors.
     """
-    if spec.m_imaginary:
-        raise DivergenceError(
-            "the e^{-ix} weight does not damp the integrand; the semi-infinite "
-            "integral is only defined for real m"
-        )
+    spec.check_convergence()
     n = float(spec.n)
     m = float(spec.m)
-    if n <= -1.0:
-        raise DivergenceError(f"needs n > -1 at the origin, got n={n}")
-    if m == 0.0 and n >= 2.0:
-        raise DivergenceError(f"m = 0 needs n < 2 at infinity, got n={n}")
     n0 = round(n)
     finite_part = n0 >= 0 and abs(n - n0) < 0.25
     value = size = 0.0
