@@ -113,7 +113,8 @@ def exp_integral_en(n: int, z: complex) -> complex:
 
     E_0(z) = e^{-z}/z; every n >= 1 by the power series or the continued
     fraction, as _series_preferred chooses. z must avoid the negative real
-    axis; z = 0 is a pole for n <= 1 and gives 1/(n-1) for n >= 2.
+    axis; z = 0 is a pole for n <= 1 and gives 1/(n-1) for n >= 2. Any
+    other non-finite z is a DomainError.
     """
     n = check_integer(n, "E_n order", 0)
     z = complex(z)
@@ -123,6 +124,8 @@ def exp_integral_en(n: int, z: complex) -> complex:
                 return complex(1.0 / (n - 1))
             raise DomainError(f"E_{n} is singular at z = 0")
         raise BranchCutError(f"E_{n} is not defined on the negative real axis (z={z})")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"E_{n} needs a finite argument, got z={z}")
     if n == 0:
         return cmath.exp(-z) / z
     if _series_preferred(n, z):
@@ -232,9 +235,12 @@ def upper_incomplete_gamma(s: int, z: complex) -> complex:
     """Upper incomplete gamma Gamma(s, z) for integer s >= 1 and complex z.
 
     Uses the exact finite sum Gamma(s, z) = (s-1)! e^{-z} sum_{k=0}^{s-1} z^k/k!.
+    A non-finite z is a DomainError.
     """
     s = check_integer(s, "first argument", 1)
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"Gamma({s}, z) needs a finite argument, got z={z}")
     total = complex(1.0)
     term = complex(1.0)
     for k in range(1, s):

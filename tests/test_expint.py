@@ -198,6 +198,34 @@ def test_e1_branch_cut_rejected():
             exp_integral_en(n, 0)
 
 
+NON_FINITE_CALLS = {
+    "E_1(inf)": lambda: exp_integral_en(1, math.inf),
+    "E_2(nan)": lambda: exp_integral_en(2, math.nan),
+    "E_1(1+inf j)": lambda: exp_integral_en(1, complex(1.0, math.inf)),
+    "E_0(inf)": lambda: exp_integral_en(0, math.inf),
+    "Gamma(3, nan)": lambda: upper_incomplete_gamma(3, math.nan),
+    "Gamma(3, inf)": lambda: upper_incomplete_gamma(3, math.inf),
+    "si(inf)": lambda: si(math.inf),
+    "si(nan)": lambda: si(math.nan),
+    "ci(inf)": lambda: ci(math.inf),
+    "e1_complex(inf)": lambda: e1_complex(math.inf),
+    "z_antiderivative(c=inf)": lambda: z_antiderivative(2, math.inf, 1.0),
+    "z_antiderivative(c=nan)": lambda: z_antiderivative(-2, complex(math.nan, 1.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_non_finite_argument_is_a_domain_error(name):
+    # raised up front: no continued fraction runs to its iteration cap
+    with pytest.raises(DomainError, match="finite"):
+        NON_FINITE_CALLS[name]()
+
+
+def test_minus_infinity_stays_on_the_branch_cut():
+    with pytest.raises(BranchCutError):
+        exp_integral_en(1, -math.inf)
+
+
 @pytest.mark.parametrize("z", [1.0 + 0j, 2.0 + 1.0j])
 def test_e1_matches_integral_representation(z):
     # E_1(z) = int_1^inf e^{-zt}/t dt, mapped to [0,1] by t = 1/u
