@@ -206,7 +206,16 @@ def _spec_values(point: dict) -> list:
 
 
 def _result_values(res) -> list:
-    return [res.value, res.method, res.err_estimate, "ok"]
+    """A result's cells. The err_estimate cell also covers the rounding of
+    the printed value: it is err_estimate + |value - printed value|, and
+    its own digits do not round below that."""
+    printed = complex(_text(res.value))
+    bar = res.err_estimate
+    if printed != res.value:
+        bar += abs(res.value - printed)
+    if float(_text(bar)) < bar:
+        bar *= 1.0 + 1e-12  # at least one unit of the 13th digit
+    return [res.value, res.method, bar, "ok"]
 
 
 def _grid_rows(points: list[dict], values) -> list[list]:
@@ -404,7 +413,7 @@ def _apply_config(argv: list[str]) -> list[str]:
                 if value.lower() == "true":
                     tokens.append(f"--{key}")
             else:
-                tokens.extend([f"--{key}", value])
+                tokens.append(f"--{key}={value}")
     # config tokens go right after the subcommand so explicit flags win
     return argv[:1] + tokens + argv[1:]
 

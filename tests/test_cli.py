@@ -1,11 +1,13 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 
 import pytest
 
-from tribessel.cli import main
-from tribessel.triple import eval_indefinite
+from tribessel.cli import _SPEC_HEADER, main
+from tribessel.triple import IntegralSpec, eval_definite, eval_indefinite
 
 THREE_PI_8 = "1.178097245096"
 
@@ -268,6 +270,41 @@ def test_sweep_rejected_spec_is_status_row(capsys):
     assert lines[2].endswith(",ok")
 
 
+@pytest.mark.parametrize("mode,fmt", [
+    (["--definite", "--m", "0,1", "--n", "0,0.5,1"], "csv"),
+    (["--x", "2.5", "--m", "1", "--n", "0,1"], "csv"),
+    (["--x", "3", "--m", "0", "--m-imaginary", "--n", "0,1,2"], "json"),
+], ids=["definite", "antiderivative", "imaginary"])
+def test_sweep_err_estimate_covers_printed_digits(capsys, mode, fmt):
+    """Each row's err_estimate bounds the library's own bar plus the
+    distance from the library value to the printed one."""
+    code, out, _ = run(capsys, ["sweep", *mode, "--h", "0:8:5", "--k", "1,8",
+                                "--l", "3", "--alpha", "1.2", "--beta", "0.8",
+                                "--mu", "2", "--format", fmt])
+    assert code == 0
+    if fmt == "csv":
+        rows = list(csv.DictReader(io.StringIO(out)))
+        specs = [{k: row[k] for k in _SPEC_HEADER} for row in rows]
+    else:
+        rows = json.loads(out)
+        specs = [row["spec"] for row in rows]
+    checked = 0
+    for row, sp in zip(rows, specs):
+        if row["status"] != "ok":
+            continue
+        spec = IntegralSpec(
+            **{k: int(sp[k]) if k in "hkl" else float(sp[k])
+               for k in ("n", "m", "h", "k", "l", "alpha", "beta", "mu")},
+            m_imaginary=str(sp["m_imaginary"]).lower() == "true")
+        res = (eval_definite(spec) if "--definite" in mode
+               else eval_indefinite(spec, float(mode[1])))
+        printed = complex(row["value"])
+        assert abs(res.value - printed) + res.err_estimate <= float(
+            row["err_estimate"])
+        checked += 1
+    assert checked >= 20
+
+
 # --- ei-table ----------------------------------------------------------------
 
 def test_ei_table_default_grid(capsys):
@@ -330,6 +367,19 @@ def test_config_file_supplies_defaults_and_flags_override(capsys, tmp_path):
     code, out2, _ = run(capsys, ["eval", "--config", str(cfg), "--m", "1"])
     assert code == 0
     assert THREE_PI_8 not in out2
+
+
+def test_config_value_may_start_with_dash(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = -0.5,1\nm = 1\nh = 0\nk = 1\nl = 0\nalpha = 1.2\n"
+                   "beta = 0.8\nmu = 2\ndefinite = true\n")
+    code, out, err = run(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 0, err
+    _, want, _ = run(capsys, ["sweep", "--n=-0.5,1", "--m", "1", "--h", "0",
+                              "--k", "1", "--l", "0", "--alpha", "1.2",
+                              "--beta", "0.8", "--mu", "2", "--definite"])
+    assert out == want
+    assert len(out.splitlines()) == 3
 
 
 def test_output_file_resolves_against_env_dir(capsys, tmp_path, monkeypatch):
