@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the argument checks that
-every module states once here: an integer argument and a positive one."""
+"""Exception types shared across the package, and the two argument checks
+that every module uses: an integer argument and a finite positive one."""
 
 import math
 import operator
@@ -27,8 +27,8 @@ class UnsupportedPowerError(ValueError):
 
 def check_integer(v, what: str, minimum: int | None = None,
                   error: type = DomainError) -> int:
-    """v as a Python int if it is an int or a numpy integer (a bool of
-    either kind is not) and at least minimum; anything else raises error."""
+    """v as a Python int if it is an int or a numpy integer (not a bool of
+    either kind) and at least minimum; anything else raises error."""
     if not isinstance(v, bool):
         try:
             i = operator.index(v)

@@ -102,7 +102,7 @@ DAMPING_ENTRIES = {
                          ids=["-1", "nan", "inf", "0.5-imaginary",
                               "nan-imaginary"])
 def test_damping_rule(name, m, imag):
-    with pytest.raises(DomainError, match="m"):
+    with pytest.raises(DomainError, match="m must be >= 0|set m=0"):
         DAMPING_ENTRIES[name](m, imag)
 
 
