@@ -16,7 +16,13 @@ import cmath
 import functools
 import math
 
-from .errors import BranchCutError, DomainError, check_integer, check_positive
+from .errors import (
+    BranchCutError,
+    DomainError,
+    check_integer,
+    check_positive,
+    check_product,
+)
 
 # Euler-Mascheroni constant, 20 digits.
 EULER_GAMMA = 0.57721566490153286061
@@ -312,9 +318,9 @@ def z_antiderivative(n: int, c: complex, x: float, principal_value: bool = True)
         if n == -1:
             return complex(math.log(x))
         return complex(x ** (n + 1) / (n + 1))
+    z = check_product(-c, x)
     if n >= 0:
-        return -((-c) ** (-n - 1)) * upper_incomplete_gamma(n + 1, -c * x)
-    z = -c * x
+        return -((-c) ** (-n - 1)) * upper_incomplete_gamma(n + 1, z)
     if z.imag == 0.0 and z.real < 0.0:
         if not principal_value:
             raise BranchCutError(

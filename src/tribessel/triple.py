@@ -17,7 +17,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,9 @@ from .errors import (
     SingularCombinationError,
     UnsupportedPowerError,
     check_integer,
+    check_integer_power,
     check_positive,
+    check_product,
 )
 from .expint import _harmonic, _lower_gamma_int, exp_integral_en, z_antiderivative
 from .sphfun import _jl_vec
@@ -238,6 +240,13 @@ def _reduce_shape(h: int, k: int, l: int, alpha: float, beta: float,
                  for s, c in enumerate(acc) if c != 0.0)
 
 
+def _spec_shape(spec: IntegralSpec) -> tuple:
+    """_reduce_shape of spec's orders and frequencies, as plain ints and
+    floats so that numpy scalars share the cache entry."""
+    return _reduce_shape(int(spec.h), int(spec.k), int(spec.l),
+                         float(spec.alpha), float(spec.beta), float(spec.mu))
+
+
 def reduce_orders(spec: IntegralSpec) -> list[BaseTerm]:
     """Reduce x^n j_h(alpha x) j_k(beta x) j_l(mu x) to a list of BaseTerms.
 
@@ -246,11 +255,9 @@ def reduce_orders(spec: IntegralSpec) -> list[BaseTerm]:
     n-free part is computed once per (h, k, l, alpha, beta, mu) and the last
     _SHAPE_CACHE_SIZE shapes are kept; each call returns a fresh list.
     """
-    shape = _reduce_shape(int(spec.h), int(spec.k), int(spec.l),
-                          float(spec.alpha), float(spec.beta), float(spec.mu))
     n = float(spec.n)
     return [BaseTerm(coeff=c, p=n + d, kind=kd, gamma=g)
-            for d, kd, g, c in shape]
+            for d, kd, g, c in _spec_shape(spec)]
 
 
 def integrand(spec: IntegralSpec):
@@ -288,7 +295,7 @@ def _power_exp_antiderivative(p: int, c: complex, x: float) -> complex:
     c = 0 coincide with z_antiderivative's conventions.
     """
     if p >= 0 and c != 0:
-        return (-c) ** (-p - 1) * _lower_gamma_int(p + 1, -c * x)
+        return (-c) ** (-p - 1) * _lower_gamma_int(p + 1, check_product(-c, x))
     return z_antiderivative(p, c, x)
 
 
@@ -301,11 +308,8 @@ def antiderivative_base(term: BaseTerm, m: float, x: float,
     IntegralSpec's damping rule.
     """
     x = check_positive(x)
-    p_int = int(round(float(term.p)))
-    if abs(float(term.p) - p_int) > 1e-9:
-        raise DomainError(
-            f"base antiderivatives need an integer power, got p={term.p!r}"
-        )
+    p_int = check_integer_power(
+        term.p, "base antiderivatives need an integer power, got p={!r}")
     damping = _damping(m, m_imaginary)
     gamma = float(term.gamma)
     if gamma == 0.0:
@@ -329,9 +333,11 @@ def eval_indefinite(spec: IntegralSpec, x: float) -> EvalResult:
     antiderivative vanishes at x = 0.
     """
     n = float(spec.n)
-    if abs(n - round(n)) > 1e-12:
-        raise DomainError(f"the indefinite closed form requires integer n, got {n}")
+    n_int = check_integer_power(
+        n, "the indefinite closed form requires integer n, got {}")
     x = check_positive(x)
+    if n != n_int:  # the terms then carry exact integer powers
+        spec = replace(spec, n=n_int)
     total = 0j
     scale = 0.0
     for term in reduce_orders(spec):
@@ -413,8 +419,33 @@ def _cexpm1(z: complex) -> complex:
                    (em + 1.0) * math.sin(z.imag))
 
 
-def _gamma_power(p1: float, w: complex, finite_part: bool) -> complex:
-    """Gamma(p1) * w^(-p1), or its finite part near a Gamma pole.
+def _gamma_power_factors(p1: float, finite_part: bool) -> tuple:
+    """The w-free part of _gamma_power for the power p1: (q, r, f, s, g, e).
+
+    q is None where p1 rounds to >= 1 or lies 0.25 or more from a pole
+    (outside finite_part): then f = Gamma(p1) and s = -p1. Otherwise
+    q = -round(p1), r = p1 + q and f = (-1)^q / q!; s is H_q at r = 0 and
+    -sum_{i<=q} log1p(-r/i) elsewhere, where g = Gamma(1+r) and e is the
+    exponential, in expm1 form under finite_part. A pole outside
+    finite_part raises here, and so does math.gamma's overflow.
+    """
+    near = round(p1)
+    r = p1 - near
+    if near >= 1 or (abs(r) >= 0.25 and not finite_part):
+        return None, r, math.gamma(p1), -p1, None, None
+    q = -int(near)
+    f = (-1.0 if q % 2 else 1.0) / math.factorial(q)
+    if r == 0.0:
+        if not finite_part:
+            raise SingularCombinationError(f"Gamma pole at p+1 = {p1}")
+        return q, r, f, _harmonic(q + 1), None, None
+    s = complex(-sum(math.log1p(-r / i) for i in range(1, q + 1)))
+    return q, r, f, s, math.gamma(1.0 + r), _cexpm1 if finite_part else cmath.exp
+
+
+def _gamma_power(factors: tuple, wlog: tuple) -> complex:
+    """Gamma(p1) * w^(-p1), or its finite part near a Gamma pole, from
+    p1's _gamma_power_factors and wlog = (w, principal log w).
 
     Where p1 rounds to >= 1 or lies 0.25 or more from a pole, this is
     math.gamma times the principal power. Near a pole -q, math.gamma's
@@ -431,34 +462,31 @@ def _gamma_power(p1: float, w: complex, finite_part: bool) -> complex:
     Every term of that sum then takes the product form, even where
     rounding p1 has put its r on +-0.25.
     """
-    logw = cmath.log(w)
-    near = round(p1)
-    r = p1 - near
-    if near >= 1 or (abs(r) >= 0.25 and not finite_part):
-        return math.gamma(p1) * cmath.exp(-p1 * logw)
-    q = -int(near)
-    k = (-1.0 if q % 2 else 1.0) / math.factorial(q) * w ** q
+    q, r, f, s, g, exp = factors
+    w, logw = wlog
+    if q is None:
+        return f * cmath.exp(s * logw)
+    k = f * w ** q
     if r == 0.0:
-        if not finite_part:
-            raise SingularCombinationError(f"Gamma pole at p+1 = {p1}")
-        return k * (_harmonic(q + 1) - logw)
-    h = complex(-sum(math.log1p(-r / i) for i in range(1, q + 1))) - r * logw
-    e = _cexpm1(h) if finite_part else cmath.exp(h)
-    return math.gamma(1.0 + r) * k * e / r
+        return k * (s - logw)
+    return g * k * exp(s - r * logw) / r
 
 
 def _definite_term(p: float, m: float, gamma: float, kind: str,
-                   finite_part: bool) -> float:
+                   finite_part: bool, powers: dict, logs: dict) -> float:
     """Analytic continuation of int_0^inf x^p e^{-mx} kind(gamma x) dx.
 
-    Gamma(p+1) * Im/Re[(m - i gamma)^{-(p+1)}], with finite_part passed on
-    to _gamma_power; the degenerate gamma = 0 cosine term with m = 0 takes
-    the scaleless continuation 0 (the genuine m -> 0+ limit of
-    Gamma(p+1) m^{-p-1} for the p < -1 powers that occur). Under finite_part
-    with p + 1 = r near 0 it returns -Gamma(1+r)/r instead: the pole parts
-    the other terms dropped, whose K add up to minus this term's K = 1.
-    That is the genuine pole at n = 2 of an m = 0 integral with a
-    non-oscillating x^(n-3) tail.
+    Gamma(p+1) * Im/Re[(m - i gamma)^{-(p+1)}] by _gamma_power. The
+    caller's powers (p -> _gamma_power_factors) and logs
+    (gamma -> (w, log w)) are filled here on first use: terms that share a
+    power or a frequency reuse those parts, and a power's raise falls on
+    the first term that needs its Gamma factor. The degenerate gamma = 0
+    cosine term with m = 0 takes the scaleless continuation 0 (the genuine
+    m -> 0+ limit of Gamma(p+1) m^{-p-1} for the p < -1 powers that occur).
+    Under finite_part with p + 1 = r near 0 it returns -Gamma(1+r)/r
+    instead: the pole parts the other terms dropped, whose K add up to minus
+    this term's K = 1. That is the genuine pole at n = 2 of an m = 0
+    integral with a non-oscillating x^(n-3) tail.
     """
     if gamma == 0.0:
         if kind == "sin":
@@ -472,7 +500,14 @@ def _definite_term(p: float, m: float, gamma: float, kind: str,
                 r = p + 1.0
                 return -math.gamma(1.0 + r) / r
             return 0.0
-    val = _gamma_power(p + 1.0, complex(m, -gamma), finite_part)
+    factors = powers.get(p)
+    if factors is None:
+        factors = powers[p] = _gamma_power_factors(p + 1.0, finite_part)
+    wlog = logs.get(gamma)
+    if wlog is None:
+        w = complex(m, -gamma)
+        wlog = logs[gamma] = (w, cmath.log(w))
+    val = _gamma_power(factors, wlog)
     return val.imag if kind == "sin" else val.real
 
 
@@ -480,7 +515,9 @@ def eval_definite(spec: IntegralSpec) -> EvalResult:
     """Definite integral int_0^inf x^n e^{-mx} j_h j_k j_l dx in closed form.
 
     Where spec.check_convergence admits the integral, every n takes the
-    same term-by-term sum. Within 0.25 of an integer n0 >= 0 the terms near
+    same term-by-term sum over the cached n-free reduction (_spec_shape),
+    with each distinct power's and frequency's part of the Gamma power
+    computed once. Within 0.25 of an integer n0 >= 0 the terms near
     Gamma poles contribute their finite parts (_gamma_power). The dropped
     pole parts add up to Gamma(1+r)/r times sum coeff * K, the x^-1
     coefficient of the integrand's small-x expansion at n0, which is zero.
@@ -496,12 +533,13 @@ def eval_definite(spec: IntegralSpec) -> EvalResult:
     m = float(spec.m)
     n0 = round(n)
     finite_part = n0 >= 0 and abs(n - n0) < 0.25
+    powers: dict = {}
+    logs: dict = {}
     value = size = 0.0
-    for term in reduce_orders(spec):
-        p = float(term.p)
-        t = term.coeff.real * _definite_term(
-            p, m, float(term.gamma), term.kind, finite_part
-        )
+    for d, kind, gamma, coeff in _spec_shape(spec):
+        p = n + d
+        t = coeff.real * _definite_term(p, m, gamma, kind, finite_part,
+                                        powers, logs)
         value += t
         size += (2.0 + abs(p)) * abs(t)
     # Gamma(p+1) w^{-(p+1)} carries ~(2 + |p|) roundings, so cancellation

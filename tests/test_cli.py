@@ -270,6 +270,27 @@ def test_sweep_rejected_spec_is_status_row(capsys):
     assert lines[2].endswith(",ok")
 
 
+OVERFLOW_ARGS = ["--n", "0", "--m", "1e308", "--h", "0", "--k", "0",
+                 "--l", "0", "--alpha", "1", "--beta", "1", "--mu", "1",
+                 "--x", "1e308"]
+
+
+def test_sweep_overflow_is_cannot_evaluate(capsys):
+    # every input is valid; -c*x overflows inside the antiderivative
+    code, out, _ = run(capsys, ["sweep", *OVERFLOW_ARGS, "--format", "csv"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].endswith(",false,,,,cannot-evaluate")
+
+
+def test_eval_overflow_exits_2_cannot_evaluate(capsys):
+    code, _, err = run(capsys, ["eval", *OVERFLOW_ARGS])
+    assert code == 2
+    assert err.startswith("tribessel: cannot evaluate: ")
+    assert "exceeds double-precision range" in err
+
+
 @pytest.mark.parametrize("mode,fmt", [
     (["--definite", "--m", "0,1", "--n", "0,0.5,1"], "csv"),
     (["--x", "2.5", "--m", "1", "--n", "0,1"], "csv"),

@@ -221,6 +221,14 @@ def test_non_finite_argument_is_a_domain_error(name):
         NON_FINITE_CALLS[name]()
 
 
+@pytest.mark.parametrize("n", [-3, -1, 0, 2])
+@pytest.mark.parametrize("c", [-1e308 + 1j, 1e308 - 1j, 1e200j, 1e308])
+def test_z_antiderivative_overflowing_scale_is_an_overflow(n, c):
+    # c and x are finite and valid; only the argument -c*x overflows
+    with pytest.raises(OverflowError, match="double-precision range"):
+        z_antiderivative(n, c, 1e308)
+
+
 def test_minus_infinity_stays_on_the_branch_cut():
     with pytest.raises(BranchCutError):
         exp_integral_en(1, -math.inf)

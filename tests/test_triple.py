@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -6,13 +8,16 @@ import pytest
 from tribessel.errors import (
     DivergenceError,
     DomainError,
+    SingularCombinationError,
     UnsupportedPowerError,
 )
+from tribessel.expint import _harmonic
 from tribessel.oracle import QuadConfig, quad_finite, quad_semi_infinite
 from tribessel.sphfun import sph_bessel_j
 from tribessel.triple import (
     _QUARTER,
     _SHAPE_CACHE_SIZE,
+    _cexpm1,
     _j_symbols,
     _reduce_shape,
     BaseTerm,
@@ -352,6 +357,31 @@ def test_indefinite_requires_integer_power():
         eval_indefinite(spec(0.5, 1), 2.0)
 
 
+def test_integer_power_rule_is_shared():
+    # one tolerance for both closed forms: 1e-12 passes and rounds,
+    # 5e-10 fails in both (the antiderivative once rounded it silently)
+    s = spec(2, 1.0, h=1, k=0, l=2, a=1.2, b=0.8, u=2.0)
+    near = dataclasses.replace(s, n=2 + 5e-13)
+    assert eval_indefinite(near, 1.5) == eval_indefinite(s, 1.5)
+    for term in reduce_orders(near):
+        assert antiderivative_base(term, 1.0, 1.5) == antiderivative_base(
+            dataclasses.replace(term, p=round(term.p)), 1.0, 1.5)
+    with pytest.raises(DomainError, match="requires integer n"):
+        eval_indefinite(dataclasses.replace(s, n=2 + 5e-10), 1.5)
+    t = BaseTerm(coeff=1.0 + 0j, p=2 + 5e-10, kind="sin", gamma=1.3)
+    with pytest.raises(DomainError, match="need an integer power"):
+        antiderivative_base(t, 1.0, 1.5)
+
+
+def test_indefinite_overflowing_argument_is_an_overflow():
+    # every argument is valid; (m - i gamma) x overflows in the term kernels
+    s = spec(0, 1e308)
+    with pytest.raises(OverflowError):
+        eval_indefinite(s, 1e308)
+    with pytest.raises(OverflowError):
+        eval_indefinite(dataclasses.replace(s, n=4), 1e308)
+
+
 def test_indefinite_reality():
     for s in random_specs(8, seed=5):
         v = eval_indefinite(s, 2.1).value
@@ -647,6 +677,112 @@ def test_definite_degenerate_frequency():
     r = eval_definite(s)
     o = quad_semi_infinite(s, TIGHT)
     assert abs(r.value.real - o.value.real) <= 1e-8
+
+
+def _gamma_power_reference(p1, w, finite_part):
+    """_gamma_power computed whole for every term (the reference for the
+    per-power and per-frequency split)."""
+    logw = cmath.log(w)
+    near = round(p1)
+    r = p1 - near
+    if near >= 1 or (abs(r) >= 0.25 and not finite_part):
+        return math.gamma(p1) * cmath.exp(-p1 * logw)
+    q = -int(near)
+    k = (-1.0 if q % 2 else 1.0) / math.factorial(q) * w ** q
+    if r == 0.0:
+        if not finite_part:
+            raise SingularCombinationError(f"Gamma pole at p+1 = {p1}")
+        return k * (_harmonic(q + 1) - logw)
+    h = complex(-sum(math.log1p(-r / i) for i in range(1, q + 1))) - r * logw
+    e = _cexpm1(h) if finite_part else cmath.exp(h)
+    return math.gamma(1.0 + r) * k * e / r
+
+
+def _definite_term_reference(p, m, gamma, kind, finite_part):
+    if gamma == 0.0:
+        if kind == "sin":
+            return 0.0
+        if m == 0.0:
+            if p == -1.0:
+                raise SingularCombinationError(
+                    "pure 1/x term with m = 0 has no finite continuation"
+                )
+            if finite_part and round(p) == -1:
+                r = p + 1.0
+                return -math.gamma(1.0 + r) / r
+            return 0.0
+    val = _gamma_power_reference(p + 1.0, complex(m, -gamma), finite_part)
+    return val.imag if kind == "sin" else val.real
+
+
+def _eval_definite_reference(s):
+    """eval_definite as one BaseTerm and one whole Gamma power per term."""
+    s.check_convergence()
+    n = float(s.n)
+    m = float(s.m)
+    n0 = round(n)
+    finite_part = n0 >= 0 and abs(n - n0) < 0.25
+    value = size = 0.0
+    for term in reduce_orders(s):
+        p = float(term.p)
+        t = term.coeff.real * _definite_term_reference(
+            p, m, float(term.gamma), term.kind, finite_part
+        )
+        value += t
+        size += (2.0 + abs(p)) * abs(t)
+    err = max(abs(value) * 5e-14, size * 4.4e-16) + 1e-300
+    return complex(value), "closed_form", err
+
+
+def _outcome(f, s):
+    """Hex of value and err_estimate, or the exception type and message."""
+    try:
+        value, method, err = f(s)
+    except Exception as exc:  # the reference and eval_definite must agree
+        return type(exc), str(exc)
+    return value.real.hex(), value.imag.hex(), method, err.hex()
+
+
+def _definite_guard_specs():
+    rng = np.random.default_rng(2021)
+    # gamma = 0 sums, exact and rounded (0.3 + 0.6 - 0.9 is -1.1e-16)
+    degenerate = ((1.25, 0.5, 1.75), (0.1, 0.2, 0.3), (0.3, 0.6, 0.9),
+                  (0.01, 100.0, 100.01))
+    offsets = (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 0.25, -0.25)
+    out = []
+    for i in range(720):
+        if i % 6 == 5:
+            n = float(rng.uniform(-1.0, -0.75))
+        else:
+            n = int(rng.integers(0, 5)) + offsets[i % 7]
+        freqs = (degenerate[i % 4] if i % 3 == 0
+                 else tuple(float(v) for v in rng.uniform(0.3, 3.0, size=3)))
+        h, k, l = (int(o) for o in rng.integers(0, 10, size=3))
+        out.append(IntegralSpec(n=n, m=(0.0, 0.5, 1.0, 2.0)[i % 4], h=h,
+                                k=k, l=l, alpha=freqs[0], beta=freqs[1],
+                                mu=freqs[2]))
+    return out
+
+
+def test_definite_matches_per_term_reference_bit_for_bit():
+    specs = _definite_guard_specs()
+    outcomes = []
+    for s in specs:
+        want = _outcome(_eval_definite_reference, s)
+        got = _outcome(lambda s: (lambda r: (r.value, r.method,
+                                             r.err_estimate))(eval_definite(s)), s)
+        assert got == want, s
+        outcomes.append(want)
+    # the population reaches the near-pole, gamma = 0 and divergent paths
+    assert len(specs) == 720
+    assert sum(o[0] is DivergenceError for o in outcomes) >= 20
+    assert sum(0.0 < abs(s.n - round(s.n)) < 1e-6 for s in specs) >= 300
+    assert sum(-1.0 < s.n < -0.75 for s in specs) >= 100
+    zero_gamma = [s for s in specs if any(g == 0.0 for _, _, g, _ in
+                  _reduce_shape(s.h, s.k, s.l, s.alpha, s.beta, s.mu))]
+    assert len(zero_gamma) >= 100
+    # the m = 0 pole at n = 2 that _definite_term puts back
+    assert sum(s.m == 0.0 and 1.75 < s.n < 2.0 for s in zero_gamma) >= 3
 
 
 def test_definite_divergence_preconditions():
