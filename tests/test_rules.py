@@ -1,6 +1,6 @@
 """Each argument rule is stated once; every entry point of a rule obeys it
-the same way: positive argument, integer argument, damping, and convergence
-of the integral over [0, inf)."""
+the same way: positive argument, integer argument, integer power, damping,
+and convergence of the integral over [0, inf)."""
 
 import math
 
@@ -84,6 +84,27 @@ def test_integer_argument_rule(name, v):
 def test_integer_argument_rule_accepts_numpy_integers(name):
     call, _ = INTEGER_ENTRIES[name]
     assert repr(call(np.int64(2))) == repr(call(2))
+
+
+POWER_ENTRIES = {
+    "eval_indefinite": lambda v: eval_indefinite(_spec(n=v), 1.5).value,
+    "antiderivative_base": lambda v: antiderivative_base(
+        BaseTerm(coeff=1.0 + 0j, p=v, kind="sin", gamma=1.0), 1.0, 1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_ENTRIES))
+@pytest.mark.parametrize("v", [2 + 5e-10, 2 - 5e-10, 2.5])
+def test_integer_power_rule(name, v):
+    with pytest.raises(DomainError, match="integer"):
+        POWER_ENTRIES[name](v)
+
+
+@pytest.mark.parametrize("name", sorted(POWER_ENTRIES))
+@pytest.mark.parametrize("v", [2 + 5e-13, 2 - 5e-13])
+def test_integer_power_rule_rounds_within_tolerance(name, v):
+    call = POWER_ENTRIES[name]
+    assert repr(call(v)) == repr(call(2))
 
 
 DAMPING_ENTRIES = {

