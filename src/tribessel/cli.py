@@ -210,9 +210,7 @@ def _result_values(res) -> list:
     the printed value: it is err_estimate + |value - printed value|, and
     its own digits do not round below that."""
     printed = complex(_text(res.value))
-    bar = res.err_estimate
-    if printed != res.value:  # an infinite value prints exactly: no inf - inf
-        bar += abs(res.value - printed)
+    bar = res.err_estimate + abs(res.value - printed)
     if float(_text(bar)) < bar:
         bar *= 1.0 + 1e-12  # at least one unit of the 13th digit
     return [res.value, res.method, bar, "ok"]

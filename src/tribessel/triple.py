@@ -17,7 +17,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -299,6 +299,22 @@ def _power_exp_antiderivative(p: int, c: complex, x: float) -> complex:
     return z_antiderivative(p, c, x)
 
 
+def _base_antiderivative(p: int, kind: str, gamma: float, coeff: complex,
+                         damping: complex, x: float) -> complex:
+    """antiderivative_base of checked arguments: integer p, damping w, x > 0."""
+    if gamma == 0.0:
+        if kind == "sin":
+            return 0j
+        return coeff * _power_exp_antiderivative(p, -damping, x)
+    c_plus = -damping + 1j * gamma
+    c_minus = -damping - 1j * gamma
+    j_plus = _power_exp_antiderivative(p, c_plus, x)
+    j_minus = _power_exp_antiderivative(p, c_minus, x)
+    if kind == "sin":
+        return coeff * (j_plus - j_minus) / 2j
+    return coeff * (j_plus + j_minus) / 2.0
+
+
 def antiderivative_base(term: BaseTerm, m: float, x: float,
                         m_imaginary: bool = False) -> complex:
     """Antiderivative at x of coeff * t^p e^{-mt} kind(gamma t) dt.
@@ -311,18 +327,15 @@ def antiderivative_base(term: BaseTerm, m: float, x: float,
     p_int = check_integer_power(
         term.p, "base antiderivatives need an integer power, got p={!r}")
     damping = _damping(m, m_imaginary)
-    gamma = float(term.gamma)
-    if gamma == 0.0:
-        if term.kind == "sin":
-            return 0j
-        return term.coeff * _power_exp_antiderivative(p_int, -damping, x)
-    c_plus = -damping + 1j * gamma
-    c_minus = -damping - 1j * gamma
-    j_plus = _power_exp_antiderivative(p_int, c_plus, x)
-    j_minus = _power_exp_antiderivative(p_int, c_minus, x)
-    if term.kind == "sin":
-        return term.coeff * (j_plus - j_minus) / 2j
-    return term.coeff * (j_plus + j_minus) / 2.0
+    return _base_antiderivative(p_int, term.kind, float(term.gamma),
+                                term.coeff, damping, x)
+
+
+def _closed_form_result(value: complex, err: float) -> EvalResult:
+    """Both closed forms' result: an inf or NaN value or bar is an overflow."""
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise OverflowError(f"closed-form terms overflow: {value} +- {err}")
+    return EvalResult(value=value, method="closed_form", err_estimate=err)
 
 
 def eval_indefinite(spec: IntegralSpec, x: float) -> EvalResult:
@@ -332,20 +345,17 @@ def eval_indefinite(spec: IntegralSpec, x: float) -> EvalResult:
     constant by the term-level convention that every p >= 0 base
     antiderivative vanishes at x = 0.
     """
-    n = float(spec.n)
     n_int = check_integer_power(
-        n, "the indefinite closed form requires integer n, got {}")
+        float(spec.n), "the indefinite closed form requires integer n, got {}")
     x = check_positive(x)
-    if n != n_int:  # the terms then carry exact integer powers
-        spec = replace(spec, n=n_int)
+    damping = spec.damping
     total = 0j
     scale = 0.0
-    for term in reduce_orders(spec):
-        contrib = antiderivative_base(term, float(spec.m), x, spec.m_imaginary)
+    for d, kind, gamma, coeff in _spec_shape(spec):
+        contrib = _base_antiderivative(n_int + d, kind, gamma, coeff, damping, x)
         total += contrib
         scale += abs(contrib)
-    err = scale * 5e-15 + 1e-300
-    return EvalResult(value=total, method="closed_form", err_estimate=err)
+    return _closed_form_result(total, scale * 5e-15 + 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +502,6 @@ def _definite_term(p: float, m: float, gamma: float, kind: str,
         if kind == "sin":
             return 0.0
         if m == 0.0:
-            if p == -1.0:
-                raise SingularCombinationError(
-                    "pure 1/x term with m = 0 has no finite continuation"
-                )
             if finite_part and round(p) == -1:
                 r = p + 1.0
                 return -math.gamma(1.0 + r) / r
@@ -545,4 +551,4 @@ def eval_definite(spec: IntegralSpec) -> EvalResult:
     # Gamma(p+1) w^{-(p+1)} carries ~(2 + |p|) roundings, so cancellation
     # across the terms shows in size rather than in |value|
     err = max(abs(value) * 5e-14, size * 4.4e-16) + 1e-300
-    return EvalResult(value=complex(value), method="closed_form", err_estimate=err)
+    return _closed_form_result(complex(value), err)

@@ -291,6 +291,29 @@ def test_eval_overflow_exits_2_cannot_evaluate(capsys):
     assert "exceeds double-precision range" in err
 
 
+def test_eval_non_finite_definite_exits_2(capsys):
+    # frequencies of 1e-120 overflow the reduction's coefficients to NaN
+    code, out, err = run(capsys, [
+        "eval", "--n", "0.5", "--m", "1", "--h", "0", "--k", "0", "--l", "0",
+        "--alpha", "1e-120", "--beta", "1e-120", "--mu", "1e-120",
+        "--definite"])
+    assert (code, out) == (2, "")
+    assert err.startswith("tribessel: cannot evaluate: closed-form terms overflow")
+
+
+def test_sweep_non_finite_row_is_cannot_evaluate(capsys):
+    # Gamma(p+1) w^-(p+1) overflows to inf at n = 170.5; the n = 0.5 row stays
+    code, out, err = run(capsys, [
+        "sweep", "--n", "0.5,170.5", "--m", "0.5", "--h", "0", "--k", "0",
+        "--l", "0", "--alpha", "1", "--beta", "1.2", "--mu", "0.7",
+        "--definite", "--format", "json"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert [r["status"] for r in rows] == ["ok", "cannot-evaluate"]
+    assert [rows[1][key] for key in ("value", "method", "err_estimate")] == [
+        None, None, None]
+
+
 @pytest.mark.parametrize("mode,fmt", [
     (["--definite", "--m", "0,1", "--n", "0,0.5,1"], "csv"),
     (["--x", "2.5", "--m", "1", "--n", "0,1"], "csv"),

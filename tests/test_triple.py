@@ -10,6 +10,8 @@ from tribessel.errors import (
     DomainError,
     SingularCombinationError,
     UnsupportedPowerError,
+    check_integer_power,
+    check_positive,
 )
 from tribessel.expint import _harmonic
 from tribessel.oracle import QuadConfig, quad_finite, quad_semi_infinite
@@ -366,6 +368,21 @@ def test_indefinite_overflowing_argument_is_an_overflow():
         eval_indefinite(dataclasses.replace(s, n=4), 1e308)
 
 
+# inputs whose terms overflow double precision: the reduction's 1/(abg) is
+# 1e360 at frequencies of 1e-120, and Gamma(p+1) w^-(p+1) at n = 170.5
+TINY_FREQS = dict(h=0, k=0, l=0, a=1e-120, b=1e-120, u=1e-120)
+
+
+@pytest.mark.parametrize("evaluate,s", [
+    (eval_definite, spec(0.5, 1, **TINY_FREQS)),          # NaN
+    (lambda s: eval_indefinite(s, 1.0), spec(1, 1, **TINY_FREQS)),  # NaN
+    (eval_definite, spec(170.5, 0.5, a=1.0, b=1.2, u=0.7)),  # inf
+], ids=["definite_nan", "indefinite_nan", "definite_inf"])
+def test_non_finite_closed_form_is_an_overflow(evaluate, s):
+    with pytest.raises(OverflowError, match="closed-form terms overflow"):
+        evaluate(s)
+
+
 def test_indefinite_reality():
     for s in random_specs(8, seed=5):
         v = eval_indefinite(s, 2.1).value
@@ -655,6 +672,14 @@ def test_definite_near_integer_power():
         assert abs(r.value.real - want) <= 1e-10 * abs(want), (shape, m, n)
 
 
+def test_definite_pole_a_few_ulps_above_minus_one_raises():
+    # n - 2 rounds onto the Gamma pole at -3 while n0 = -1 leaves the
+    # finite-part form off: a typed refusal, not the finite part as value
+    for n in (math.nextafter(-1.0, 0.0), -0.9999999999999998):
+        with pytest.raises(SingularCombinationError, match="Gamma pole"):
+            eval_definite(spec(n, 1.0, a=1.2, b=0.8, u=2.0))
+
+
 def test_definite_degenerate_frequency():
     # alpha + beta = mu collapses one combined frequency to zero
     s = spec(1, 0.5, a=1.0, b=1.0, u=2.0)
@@ -723,10 +748,33 @@ def _eval_definite_fields(s):
     return r.value, r.method, r.err_estimate
 
 
-def _outcome(f, s):
+def _eval_indefinite_reference(s, x):
+    """eval_indefinite as a BaseTerm list of the spec re-made at integer n,
+    each term through the public antiderivative_base."""
+    n = float(s.n)
+    n_int = check_integer_power(
+        n, "the indefinite closed form requires integer n, got {}")
+    x = check_positive(x)
+    if n != n_int:  # the terms then carry exact integer powers
+        s = dataclasses.replace(s, n=n_int)
+    total = 0j
+    scale = 0.0
+    for term in reduce_orders(s):
+        contrib = antiderivative_base(term, float(s.m), x, s.m_imaginary)
+        total += contrib
+        scale += abs(contrib)
+    return total, "closed_form", scale * 5e-15 + 1e-300
+
+
+def _eval_indefinite_fields(s, x):
+    r = eval_indefinite(s, x)
+    return r.value, r.method, r.err_estimate
+
+
+def _outcome(f, *args):
     """Hex of value and err_estimate, or the exception type and message."""
     try:
-        value, method, err = f(s)
+        value, method, err = f(*args)
     except Exception as exc:  # the reference and eval_definite must agree
         return type(exc), str(exc)
     return value.real.hex(), value.imag.hex(), method, err.hex()
@@ -770,6 +818,50 @@ def test_definite_matches_per_term_reference_bit_for_bit():
     assert len(zero_gamma) >= 100
     # the m = 0 pole at n = 2 that _definite_term puts back
     assert sum(s.m == 0.0 and 1.75 < s.n < 2.0 for s in zero_gamma) >= 3
+
+
+def _indefinite_guard_cases():
+    rng = np.random.default_rng(15)
+    degenerate = ((1.25, 0.5, 1.75), (0.1, 0.2, 0.3), (0.3, 0.6, 0.9),
+                  (0.01, 100.0, 100.01))
+    # integer n, n within 1e-13 of an integer, and n 1e-9 off (rejected)
+    offsets = (0.0, 0.0, 5e-14, -5e-14, 1e-9, -1e-9)
+    out = []
+    for i in range(480):
+        n = int(rng.integers(-2, 5)) + offsets[i % 6]
+        imaginary = i % 5 == 4
+        freqs = (degenerate[i % 4] if i % 3 == 0
+                 else tuple(float(v) for v in rng.uniform(0.3, 3.0, size=3)))
+        h, k, l = (int(o) for o in rng.integers(0, 10, size=3))
+        x = math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
+        out.append((IntegralSpec(
+            n=n, m=0.0 if imaginary else (0.0, 0.5, 1.0, 2.0)[i % 4],
+            h=h, k=k, l=l, alpha=freqs[0], beta=freqs[1], mu=freqs[2],
+            m_imaginary=imaginary), x))
+    # every argument valid, (m - i gamma) x overflows in the term kernels
+    out += [(spec(0, 1e308), 1e308), (spec(4, 1e308, h=2, l=1), 1e308)]
+    return out
+
+
+def test_indefinite_matches_per_term_reference_bit_for_bit():
+    cases = _indefinite_guard_cases()
+    outcomes = []
+    for s, x in cases:
+        want = _outcome(_eval_indefinite_reference, s, x)
+        assert _outcome(_eval_indefinite_fields, s, x) == want, (s, x)
+        outcomes.append(want)
+    # the population reaches the rejected, near-integer, imaginary,
+    # gamma = 0, high-order and overflow paths
+    assert len(cases) == 482
+    assert sum(o[0] is DomainError for o in outcomes) >= 100
+    assert sum(o[0] is OverflowError for o in outcomes) == 2
+    assert sum(0.0 < abs(s.n - round(s.n)) < 1e-13 for s, _ in cases) >= 100
+    assert sum(s.m_imaginary for s, _ in cases) >= 60
+    zero_gamma = [s for s, _ in cases if any(g == 0.0 for _, _, g, _ in
+                  _reduce_shape(s.h, s.k, s.l, s.alpha, s.beta, s.mu))]
+    assert len(zero_gamma) >= 60
+    assert sum(max(s.h, s.k, s.l) == 9 for s, _ in cases) >= 60
+    assert min(x for _, x in cases) < 2e-3 and max(x for _, x in cases[:-2]) > 30
 
 
 def test_definite_divergence_preconditions():
