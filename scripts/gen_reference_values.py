@@ -5,6 +5,8 @@ literals are pasted into tests. CI runs it too, so it keeps working. mpmath
 is the dev extra, not a runtime dependency of the package or the tests.
 """
 
+import math
+
 import mpmath as mp
 
 mp.mp.dps = 40
@@ -63,6 +65,7 @@ NEAR_INTEGER_SHAPES = {
     "b": (1, 3, 0, 0.7, 1.3, 1.1),
     "c": (0, 0, 1, 1.0, 1.0, 2.0),
     "zero": (0, 0, 0, 1.2, 0.8, 2.0),
+    "d": (1, 0, 0, 1.2, 0.8, 2.0),
 }
 NEAR_INTEGER_OFFSETS = (-1e-11, 1e-11, -1e-9, 1e-9, -1e-7, 1e-7, 1e-5, 1e-3)
 
@@ -110,6 +113,13 @@ def near_integer_cases():
     for n in (1.8, 1.99) + tuple(2 + d for d in NEAR_INTEGER_OFFSETS if d < 0):
         yield "c", 0.0, n
     yield "zero", 1.0, -0.8  # a genuine pole at n = -1
+    # n -> -1, where the pole is genuine only at h = k = l = 0; the last two
+    # n are one and two ulps above -1, where n + d rounds onto an integer
+    for shape in ("a", "b", "zero", "d"):
+        for m in (0.5, 1.0, 0.0):
+            for n in (-1 + 0.02, -1 + 1e-3, -1 + 1e-5, -1 + 1e-7,
+                      math.nextafter(-1.0, 0.0), -0.9999999999999998):
+                yield shape, m, n
 
 
 # printed as it stands in tests/test_triple.py, which CI diffs against it

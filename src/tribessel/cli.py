@@ -25,7 +25,6 @@ from .errors import (
     BranchCutError,
     DivergenceError,
     DomainError,
-    SingularCombinationError,
     UnsupportedPowerError,
 )
 from .expint import ei
@@ -39,7 +38,6 @@ _SPEC_HEADER = list(_SPEC_FIELDS) + ["m_imaginary"]
 _PRECONDITION_ERRORS = (
     DomainError,
     DivergenceError,
-    SingularCombinationError,
     UnsupportedPowerError,
     BranchCutError,
 )

@@ -247,6 +247,8 @@ def upper_incomplete_gamma(s: int, z: complex) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"Gamma({s}, z) needs a finite argument, got z={z}")
+    if s > 171:  # 171! > 1.8e308: raise before the s-term sum
+        raise OverflowError(f"Gamma({s}, z): {s - 1}! exceeds double-precision range")
     total = complex(1.0)
     term = complex(1.0)
     for k in range(1, s):
@@ -264,6 +266,8 @@ def _lower_gamma_int(s: int, z: complex) -> complex:
     Tail series gamma(s,z) = (s-1)! e^{-z} sum_{k>=s} z^k/k! for small |z|,
     complement (s-1)! - Gamma(s,z) otherwise.
     """
+    if s > 171:
+        raise OverflowError(f"gamma({s}, z): {s - 1}! exceeds double-precision range")
     z = complex(z)
     if abs(z) <= 8.0:
         term = complex(1.0)

@@ -3,8 +3,10 @@
 Everything here works directly on the integrand as a black box: adaptive
 Gauss-Kronrod 15/7 on finite intervals, plus two independent tail policies
 for the semi-infinite range (cell summation with repeated averaging for the
-undamped case, analytic truncation bounds otherwise). The closed-form modules
-never call into this one, so agreement between the two is meaningful.
+undamped case, analytic truncation bounds otherwise). Only x^n, the
+integrand's singular part at the origin when h = k = l = 0 and n < 0, is
+integrated analytically. The closed-form modules never call into this one,
+so agreement between the two is meaningful.
 
 `quad_finite` evaluates each refinement round in one integrand call: the
 initial segments together (in chunks of `_BATCH_SEGMENTS`), then both halves
@@ -159,22 +161,20 @@ def quad_finite(f, a: float, b: float, config: QuadConfig | None = None,
                       converged=converged)
 
 
-def _origin_piece(f, n: float, x0: float, config: QuadConfig) -> EvalResult:
-    """Integral of f over [0, x0] with an x = u^k substitution when -1 < n < 0."""
-    if n >= 0.0:
+def _origin_piece(f, spec: IntegralSpec, x0: float,
+                  config: QuadConfig) -> EvalResult:
+    """Integral of f ~ x^(n+h+k+l) over [0, x0]. Where that power is
+    negative (h = k = l = 0, n < 0), quadrature sees f - x^n and x^n's
+    integral x0^(n+1)/(n+1) is added, its rounding counted in the error."""
+    n = float(spec.n)
+    if n + spec.h + spec.k + spec.l >= 0.0:
         return quad_finite(f, 0.0, x0, config)
-    k = max(2, math.ceil(3.0 / (n + 1.0)))
-
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        x = u ** k
-        out = np.zeros(u.shape, dtype=complex)
-        valid = x > 0.0
-        if np.any(valid):
-            out[valid] = f(x[valid]) * k * u[valid] ** (k - 1)
-        return out
-
-    return quad_finite(g, 0.0, x0 ** (1.0 / k), config)
+    head = quad_finite(lambda x: f(x) - np.asarray(x, dtype=float) ** n,
+                       0.0, x0, config)
+    power = x0 ** (n + 1.0) / (n + 1.0)
+    head.value += power
+    head.err_estimate += 4.4e-16 * abs(power)
+    return head
 
 
 def _combined_frequencies(spec: IntegralSpec):
@@ -264,12 +264,11 @@ def quad_semi_infinite(spec: IntegralSpec,
     if config is None:
         config = QuadConfig()
     spec.check_convergence()
-    n = float(spec.n)
     m = float(spec.m)
 
     f = integrand(spec)
     x0 = 1.0
-    head = _origin_piece(f, n, x0, config)
+    head = _origin_piece(f, spec, x0, config)
     value = head.value
     err = head.err_estimate
     converged = head.converged

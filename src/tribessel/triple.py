@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     DivergenceError,
     DomainError,
-    SingularCombinationError,
     UnsupportedPowerError,
     check_integer,
     check_integer_power,
@@ -430,56 +429,51 @@ def _cexpm1(z: complex) -> complex:
 
 
 def _gamma_power_factors(p1: float, finite_part: bool) -> tuple:
-    """The w-free part of _gamma_power for the power p1: (q, r, f, s, g, e).
+    """The w-free part of _gamma_power for the power p1: (q, r, f, s, g).
 
-    q is None where p1 rounds to >= 1 or lies 0.25 or more from a pole
-    (outside finite_part): then f = Gamma(p1) and s = -p1. Otherwise
-    q = -round(p1), r = p1 + q and f = (-1)^q / q!; s is H_q at r = 0 and
-    -sum_{i<=q} log1p(-r/i) elsewhere, where g = Gamma(1+r) and e is the
-    exponential, in expm1 form under finite_part. A pole outside
-    finite_part raises here, and so does math.gamma's overflow.
+    q is None outside finite_part or where p1 rounds to >= 1: then
+    f = Gamma(p1) and s = -p1. Otherwise q = -round(p1), r = p1 + q and
+    f = (-1)^q / q!; s is H_q at r = 0 and -sum_{i<=q} log1p(-r/i)
+    elsewhere, where g = Gamma(1+r). math.gamma's overflow raises here.
     """
     near = round(p1)
     r = p1 - near
-    if near >= 1 or (abs(r) >= 0.25 and not finite_part):
-        return None, r, math.gamma(p1), -p1, None, None
+    if near >= 1 or not finite_part:
+        return None, r, math.gamma(p1), -p1, None
     q = -int(near)
     f = (-1.0 if q % 2 else 1.0) / math.factorial(q)
     if r == 0.0:
-        if not finite_part:
-            raise SingularCombinationError(f"Gamma pole at p+1 = {p1}")
-        return q, r, f, _harmonic(q + 1), None, None
+        return q, r, f, _harmonic(q + 1), None
     s = complex(-sum(math.log1p(-r / i) for i in range(1, q + 1)))
-    return q, r, f, s, math.gamma(1.0 + r), _cexpm1 if finite_part else cmath.exp
+    return q, r, f, s, math.gamma(1.0 + r)
 
 
 def _gamma_power(factors: tuple, wlog: tuple) -> complex:
     """Gamma(p1) * w^(-p1), or its finite part near a Gamma pole, from
     p1's _gamma_power_factors and wlog = (w, principal log w).
 
-    Where p1 rounds to >= 1 or lies 0.25 or more from a pole, this is
-    math.gamma times the principal power. Near a pole -q, math.gamma's
-    reflection formula loses ~|p1| * 1e-16 / |r| relative digits, so with
-    r = p1 + q and K = (-1)^q w^q / q! the product form is used:
+    Outside finite_part, or where p1 rounds to >= 1, this is math.gamma
+    times the principal power. Near a pole -q, math.gamma's reflection
+    formula loses ~|p1| * 1e-16 / |r| relative digits, so with r = p1 + q
+    and K = (-1)^q w^q / q! the product form is used:
 
         Gamma(-q+r) w^(q-r) = Gamma(1+r) K expm1(h)/r + Gamma(1+r) K/r,
         h(r) = -sum_{i<=q} log1p(-r/i) - r log w.
 
-    With finite_part the pole part Gamma(1+r) K/r is dropped; at r = 0 the
-    rest has the limit K (H_q - log w). The caller sets finite_part once
-    for a sum whose terms share r and whose K add up to a zero residue, so
-    the dropped parts cancel exactly (or _definite_term puts them back).
-    Every term of that sum then takes the product form, even where
-    rounding p1 has put its r on +-0.25.
+    The pole part Gamma(1+r) K/r is dropped; at r = 0 the rest has the
+    limit K (H_q - log w). The caller sets finite_part once for a sum whose
+    terms share r, and puts back what the dropped parts add up to. Every
+    term of that sum takes the product form, even where rounding p1 has
+    put its r on +-0.25.
     """
-    q, r, f, s, g, exp = factors
+    q, r, f, s, g = factors
     w, logw = wlog
     if q is None:
         return f * cmath.exp(s * logw)
     k = f * w ** q
     if r == 0.0:
         return k * (s - logw)
-    return g * k * exp(s - r * logw) / r
+    return g * k * _cexpm1(s - r * logw) / r
 
 
 def _definite_term(p: float, m: float, gamma: float, kind: str,
@@ -523,22 +517,21 @@ def eval_definite(spec: IntegralSpec) -> EvalResult:
     Where spec.check_convergence admits the integral, every n takes the
     same term-by-term sum over the cached n-free reduction (_spec_shape),
     with each distinct power's and frequency's part of the Gamma power
-    computed once. Within 0.25 of an integer n0 >= 0 the terms near
-    Gamma poles contribute their finite parts (_gamma_power). The dropped
-    pole parts add up to Gamma(1+r)/r times sum coeff * K, the x^-1
-    coefficient of the integrand's small-x expansion at n0, which is zero.
-    With m > 0 that makes the residue zero: the poles in n lie at
-    n <= -1 - h - k - l. With m = 0 the scaleless gamma = 0 term takes no
-    part in the sum, and a non-oscillating x^(n-3) tail makes n = 2 a
-    genuine pole; _definite_term puts it back. At n0 = -1 the pole is
-    genuine for h = k = l = 0, so n in (-1, -0.75) keeps the full Gamma
-    prefactors.
+    computed once. Within 0.25 of an integer n0 the terms near Gamma
+    poles contribute their finite parts (_gamma_power). The dropped pole
+    parts add up to Gamma(1+r)/r, r = n - n0, times sum coeff * K, the x^-1
+    coefficient of the integrand's small-x expansion at n0. That is zero
+    with m > 0 unless n0 = -1 and h = k = l = 0, where x^-1 e^{-mx} j_0^3
+    starts with x^-1: that genuine pole is put back here. With m = 0 the
+    scaleless gamma = 0 term takes no part in the sum, and a
+    non-oscillating x^(n-3) tail makes n = 2 a genuine pole;
+    _definite_term puts it back.
     """
     spec.check_convergence()
     n = float(spec.n)
     m = float(spec.m)
     n0 = round(n)
-    finite_part = n0 >= 0 and abs(n - n0) < 0.25
+    finite_part = abs(n - n0) < 0.25
     powers: dict = {}
     logs: dict = {}
     value = size = 0.0
@@ -548,6 +541,11 @@ def eval_definite(spec: IntegralSpec) -> EvalResult:
                                         powers, logs)
         value += t
         size += (2.0 + abs(p)) * abs(t)
+    if finite_part and n0 == -1 and spec.h == spec.k == spec.l == 0:
+        r = n + 1.0
+        t = math.gamma(1.0 + r) / r
+        value += t
+        size += 3.0 * abs(t)
     # Gamma(p+1) w^{-(p+1)} carries ~(2 + |p|) roundings, so cancellation
     # across the terms shows in size rather than in |value|
     err = max(abs(value) * 5e-14, size * 4.4e-16) + 1e-300

@@ -11,6 +11,7 @@ from tribessel.expint import (
     _ei_asymptotic,
     _ei_series,
     _en_series,
+    _lower_gamma_int,
     ci,
     e1_complex,
     ei,
@@ -227,6 +228,32 @@ def test_z_antiderivative_overflowing_scale_is_an_overflow(n, c):
     # c and x are finite and valid; only the argument -c*x overflows
     with pytest.raises(OverflowError, match="double-precision range"):
         z_antiderivative(n, c, 1e308)
+
+
+@pytest.mark.parametrize("z", [0.5, 3 + 1j, 6.0, 20.0])
+def test_incomplete_gamma_at_the_last_finite_factorial(z):
+    # 170! is the largest factorial below 1.8e308: s = 171 still computes
+    upper = upper_incomplete_gamma(171, z)
+    want = math.factorial(170) * cmath.exp(-z) * sum(
+        z ** k / math.factorial(k) for k in range(171))
+    assert abs(upper - want) <= 1e-13 * abs(want)
+    # the tail series e^-z z^171/171 (1 + z/172 + ...); at z = 0.5 its first
+    # term z^171/171! underflows before (s-1)! scales it back (ROADMAP item 8)
+    if z in (3 + 1j, 6.0):
+        tail = sum(z ** j / math.prod(range(172, 172 + j)) for j in range(60))
+        want = cmath.exp(-z) * z ** 171 / 171 * tail
+        assert abs(_lower_gamma_int(171, z) - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("s", [172, 10**17])
+def test_incomplete_gamma_past_the_factorial_range_raises_up_front(s):
+    # (s-1)! overflows for s >= 172; the raise comes before the s-term sums,
+    # so s = 10**17 does not loop 10**17 times first
+    for z in (0.5, 3 + 1j, 20.0):
+        with pytest.raises(OverflowError, match="double-precision range"):
+            upper_incomplete_gamma(s, z)
+        with pytest.raises(OverflowError, match="double-precision range"):
+            _lower_gamma_int(s, z)
 
 
 def test_minus_infinity_stays_on_the_branch_cut():
