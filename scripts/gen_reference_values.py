@@ -134,3 +134,78 @@ for shape, m, n in near_integer_cases():
     value = definite_by_terms(n, m, h, k, l, alpha, beta, mu)
     print(f'    ("{shape}", {m!r}, {n!r}, {mp.nstr(value, 17)}),')
 print("]")
+
+
+# K(s, c, x) = int_0^x t^(s-1) e^(ct) dt = (-c)^(-s) gamma(s, -cx) at
+# c = -m + i g, for tests/test_expint.py. expint._lower_gamma_int sums its
+# series where |cx| < s + 8 and takes the complement elsewhere; the points
+# sit on both sides of that line (0.3, 0.97, 1.03 and 1.6 times s + 8) up to
+# s = 171, the last s whose (s-1)! is in double range, and on the series
+# side beyond it, where x^s stays finite. The complement points at s = 140
+# and 171 take g = 0: with g = 8, Gamma(s, -cx) itself overflows there and
+# the kernel raises. x is rounded to 4 digits.
+def lower_gamma_points():
+    for s, m, g, sides in (
+            (1, 0.0, 2.5, (0.3, 0.97, 1.03, 1.6)),
+            (2, 0.5, -2.5, (0.3, 0.97, 1.03, 1.6)),
+            (3, 1.0, 2.5, (0.3, 0.97, 1.03, 1.6)),
+            (5, 2.0, -2.5, (0.3, 0.97, 1.03, 1.6)),
+            (9, 0.0, 2.5, (0.3, 0.97, 1.03, 1.6)),
+            (17, 0.5, -2.5, (0.97, 1.03)),
+            (30, 1.0, 2.5, (0.97, 1.03)),
+            (46, 2.0, -2.5, (0.97, 1.03)),
+            (61, 0.0, 8.0, (0.97, 1.03)),
+            (100, 0.5, -8.0, (0.97, 1.6)),
+            (140, 1.0, 8.0, (0.97,)),
+            (140, 1.0, 0.0, (1.03,)),
+            (171, 2.0, -8.0, (0.97,)),
+            (171, 2.0, 0.0, (1.03,)),
+            (172, 0.0, 8.0, (0.2,)),
+            (240, 0.5, -8.0, (0.09,)),
+            (300, 1.0, 8.0, (0.055,)),
+            (300, 2.0, 0.0, (0.0033,))):
+        for side in sides:
+            yield s, m, g, float(f"{side * (s + 8) / abs(complex(-m, g)):.4g}")
+    yield 171, 0.5, 0.0, 1.0  # a first term z^s/s! would underflow here
+
+
+print("# K(s, c, x) = int_0^x t^(s-1) e^(ct) dt at c = -m + i g")
+print("LOWER_GAMMA_REFS = [")
+for s, m, g, x in lower_gamma_points():
+    c = mp.mpc(-m, g)
+    value = (-c) ** (-s) * mp.gammainc(s, 0, -c * x)
+    print(f"    ({s}, {m!r}, {g!r}, {x!r}, {mp.nstr(value.real, 17)}, "
+          f"{mp.nstr(value.imag, 17)}),")
+print("]")
+
+
+# F(x_hi) - F(x_lo) of x^n e^(-mx) j_h(alpha x) j_k(beta x) j_l(mu x) at
+# large integer n, for tests/test_triple.py, by mp.quad over pieces of at
+# most 0.25: one piece over a whole interval misses oscillating points by up
+# to 2e-3. The last field is mp.quad's error estimate relative to the value.
+LARGE_POWER_CASES = (
+    # h, k, l, n, m, alpha, beta, mu, x_lo, x_hi
+    (0, 0, 0, 45, 1.0, 1.0, 1.0, 1.0, 6.0, 6.5),
+    (0, 0, 0, 30, 1.0, 1.0, 1.0, 1.0, 6.0, 6.5),
+    (1, 1, 1, 60, 1.0, 1.2, 0.8, 2.0, 6.2, 6.4),
+    (2, 3, 1, 40, 0.5, 1.2, 0.8, 2.0, 3.0, 5.0),
+    (8, 8, 8, 30, 1.0, 1.2, 0.8, 2.0, 4.0, 9.0),
+)
+
+
+def interval_by_quad(h, k, l, n, m, alpha, beta, mu, x_lo, x_hi):
+    def f(x):
+        return (x**n * mp.exp(-m * x) * sph_j(h, alpha * x) * sph_j(k, beta * x)
+                * sph_j(l, mu * x))
+    pieces = int(mp.ceil((x_hi - x_lo) / mp.mpf("0.25")))
+    nodes = mp.linspace(mp.mpf(x_lo), mp.mpf(x_hi), pieces + 1)
+    return mp.quad(f, nodes, error=True)
+
+
+print("# interval differences at large integer n")
+print("LARGE_POWER_REFS = [")
+for case in LARGE_POWER_CASES:
+    value, err = interval_by_quad(*case)
+    print(f"    ({', '.join(map(repr, case))},\n"
+          f"     {mp.nstr(value, 17)}, {mp.nstr(err / abs(value), 2)}),")
+print("]")

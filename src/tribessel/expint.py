@@ -260,29 +260,27 @@ def upper_incomplete_gamma(s: int, z: complex) -> complex:
     return val
 
 
-def _lower_gamma_int(s: int, z: complex) -> complex:
-    """Lower incomplete gamma for integer s >= 1, stable near z = 0.
+def _lower_gamma_int(s: int, c: complex, x: float) -> complex:
+    """K(s, c, x) = int_0^x t^{s-1} e^{ct} dt = (-c)^{-s} gamma(s, -cx), integer s >= 1.
 
-    Tail series gamma(s,z) = (s-1)! e^{-z} sum_{k>=s} z^k/k! for small |z|,
-    complement (s-1)! - Gamma(s,z) otherwise.
+    Where |cx| < s + 8 the series x^s e^{cx} sum_k (-cx)^k / (s(s+1)...(s+k))
+    (DLMF 8.7.1), which holds no factorial: it overflows only where x^s
+    does, and raises that OverflowError before it sums. Elsewhere, a NaN cx
+    included, the complement (-c)^{-s} ((s-1)! - Gamma(s, -cx)), which needs
+    (s-1)! in double range and rejects a non-finite cx.
     """
-    if s > 171:
-        raise OverflowError(f"gamma({s}, z): {s - 1}! exceeds double-precision range")
-    z = complex(z)
-    if abs(z) <= 8.0:
-        term = complex(1.0)
-        for k in range(1, s + 1):
-            term *= z / k  # ends as z^s/s!
-        total = term
-        k = s
-        while True:
-            k += 1
-            term *= z / k
-            total += term
-            if abs(term) <= _SERIES_EPS * max(abs(total), 1e-300) or k > 200:
-                break
-        return math.factorial(s - 1) * cmath.exp(-z) * total
-    return math.factorial(s - 1) - upper_incomplete_gamma(s, z)
+    z = check_product(-c, x)
+    if not abs(z) < s + 8:
+        upper = upper_incomplete_gamma(s, z)  # raises before (s-1)! is formed
+        return (-c) ** (-s) * (math.factorial(s - 1) - upper)
+    scale = x ** s * cmath.exp(-z)
+    term = total = 1.0 / s
+    k = s
+    while abs(term) > _SERIES_EPS * abs(total):
+        k += 1
+        term *= z / k
+        total += term
+    return scale * total
 
 
 # ---------------------------------------------------------------------------

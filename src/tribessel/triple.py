@@ -28,7 +28,6 @@ from .errors import (
     check_integer,
     check_integer_power,
     check_positive,
-    check_product,
 )
 from .expint import _harmonic, _lower_gamma_int, exp_integral_en, z_antiderivative
 from .sphfun import _jl_vec
@@ -289,12 +288,12 @@ def integrand(spec: IntegralSpec):
 def _power_exp_antiderivative(p: int, c: complex, x: float) -> complex:
     """Antiderivative of x^p e^{cx}, normalized to vanish at x = 0 for p >= 0.
 
-    For p >= 0 this is the lower-incomplete-gamma form (stable for small |c|
-    where the upper form hides the value behind a huge constant); p <= -1 and
-    c = 0 coincide with z_antiderivative's conventions.
+    For p >= 0 this is the integral from 0 by the lower-incomplete-gamma
+    kernel (stable for small |c| where the upper form hides the value behind
+    a huge constant); p <= -1 coincides with z_antiderivative's convention.
     """
-    if p >= 0 and c != 0:
-        return (-c) ** (-p - 1) * _lower_gamma_int(p + 1, check_product(-c, x))
+    if p >= 0:
+        return _lower_gamma_int(p + 1, c, x)
     return z_antiderivative(p, c, x)
 
 
@@ -369,11 +368,12 @@ _QUARTER = 0.25
 def _gamma_conv(s: int, z: complex) -> complex:
     """Incomplete-gamma factor used by the direct assembly.
 
-    s >= 1 uses the negated lower function (same additive convention as
+    s >= 1 uses the negated lower function gamma(s, z) =
+    z^s _lower_gamma_int(s, -z, 1) (same additive convention as
     eval_indefinite); s <= 0 continues to z^s E_{1-s}(z).
     """
     if s >= 1:
-        return -_lower_gamma_int(s, z)
+        return -(z ** s) * _lower_gamma_int(s, -z, 1.0)
     return z ** s * exp_integral_en(1 - s, z)
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -230,6 +231,12 @@ def test_z_antiderivative_overflowing_scale_is_an_overflow(n, c):
         z_antiderivative(n, c, 1e308)
 
 
+def _lower_gamma_tail(s, z, terms):
+    """K(s, -z, 1) = e^-z sum_j z^j / (s (s+1) ... (s+j)), to a fixed length."""
+    return cmath.exp(-z) * sum(z ** j / math.prod(range(s, s + j + 1))
+                               for j in range(terms))
+
+
 @pytest.mark.parametrize("z", [0.5, 3 + 1j, 6.0, 20.0])
 def test_incomplete_gamma_at_the_last_finite_factorial(z):
     # 170! is the largest factorial below 1.8e308: s = 171 still computes
@@ -237,23 +244,109 @@ def test_incomplete_gamma_at_the_last_finite_factorial(z):
     want = math.factorial(170) * cmath.exp(-z) * sum(
         z ** k / math.factorial(k) for k in range(171))
     assert abs(upper - want) <= 1e-13 * abs(want)
-    # the tail series e^-z z^171/171 (1 + z/172 + ...); at z = 0.5 its first
-    # term z^171/171! underflows before (s-1)! scales it back (ROADMAP item 8)
-    if z in (3 + 1j, 6.0):
-        tail = sum(z ** j / math.prod(range(172, 172 + j)) for j in range(60))
-        want = cmath.exp(-z) * z ** 171 / 171 * tail
-        assert abs(_lower_gamma_int(171, z) - want) <= 1e-13 * abs(want)
+    # the lower kernel forms no z^s/s!, which underflows at z = 0.5, and no
+    # (s-1)! - Gamma(s, z), which cancels at z = 20
+    want = _lower_gamma_tail(171, z, 60)
+    assert abs(_lower_gamma_int(171, -z, 1.0) - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("s", [172, 10**17])
 def test_incomplete_gamma_past_the_factorial_range_raises_up_front(s):
-    # (s-1)! overflows for s >= 172; the raise comes before the s-term sums,
-    # so s = 10**17 does not loop 10**17 times first
+    # (s-1)! overflows for s >= 172; the raise comes before the s-term sum,
+    # so s = 10**17 does not loop 10**17 times first. The lower kernel needs
+    # (s-1)! only in its complement, |z| >= s + 8; below that its series
+    # returns at once.
     for z in (0.5, 3 + 1j, 20.0):
         with pytest.raises(OverflowError, match="double-precision range"):
             upper_incomplete_gamma(s, z)
-        with pytest.raises(OverflowError, match="double-precision range"):
-            _lower_gamma_int(s, z)
+        start = time.perf_counter()
+        # at s = 10**17 three terms reach double precision
+        want = _lower_gamma_tail(s, z, 60 if s == 172 else 3)
+        assert abs(_lower_gamma_int(s, -z, 1.0) - want) <= 1e-13 * abs(want)
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(OverflowError, match="double-precision range"):
+        _lower_gamma_int(s, -2.0 * s - 8.0, 1.0)
+
+
+# Frozen references from scripts/gen_reference_values.py (mpmath, dps=40):
+# (s, m, g, x, Re K, Im K) for K(s, c, x) = int_0^x t^(s-1) e^(ct) dt at
+# c = -m + i g, on both sides of the series/complement line |cx| = s + 8.
+LOWER_GAMMA_REFS = [
+    (1, 0.0, 2.5, 1.08, 0.17095195209353191, 0.76162885680682449),
+    (1, 0.0, 2.5, 3.492, 0.25608595427742864, 0.70727834941925005),
+    (1, 0.0, 2.5, 3.708, 0.061664287266891779, 0.79521831394289694),
+    (1, 0.0, 2.5, 5.76, 0.38626311061971108, 0.50392694248550199),
+    (2, 0.5, -2.5, 1.177, -0.11382092469320804, -0.34337611012858731),
+    (2, 0.5, -2.5, 3.805, -0.13951970132052458, -0.28743714029002259),
+    (2, 0.5, -2.5, 4.04, -0.25828745343512114, -0.2401873588486986),
+    (2, 0.5, -2.5, 6.276, -0.12530923938559465, -0.16614225873041048),
+    (3, 1.0, 2.5, 1.226, -0.11549439533199433, 0.16772225791088588),
+    (3, 1.0, 2.5, 3.963, -0.12563929934297173, 0.071806284694095792),
+    (3, 1.0, 2.5, 4.208, -0.17365832344141849, 0.024059760040592437),
+    (3, 1.0, 2.5, 6.536, -0.10154914356387008, -0.020150153666787552),
+    (5, 2.0, -2.5, 1.218, -0.04754689802364341, -0.045568105983755603),
+    (5, 2.0, -2.5, 3.939, -0.01709954018647659, 0.03483214050451068),
+    (5, 2.0, -2.5, 4.182, -0.031741085712920458, 0.047517376646021029),
+    (5, 2.0, -2.5, 6.497, -0.016440071637365959, 0.068013410870144521),
+    (9, 0.0, 2.5, 2.04, -6.0695407351299688, -61.117562747877394),
+    (9, 0.0, 2.5, 6.596, -1246538.2743335798, 409758.32135363308),
+    (9, 0.0, 2.5, 7.004, -1670257.5256828618, -1341135.457888583),
+    (9, 0.0, 2.5, 10.88, 53644448.886902393, 53880462.530596393),
+    (17, 0.5, -2.5, 9.512, -11051771633186.294, 8911623465907.3617),
+    (17, 0.5, -2.5, 10.1, 14469179194070.453, 24001872096466.577),
+    (30, 1.0, 2.5, 13.69, -3.9503450491588208e+25, 3.7732646946651586e+26),
+    (30, 1.0, 2.5, 14.54, -7.7406391836470281e+26, -5.4545028211441749e+26),
+    (46, 2.0, -2.5, 16.36, -3.5984894677473732e+39, -9.4079258626005464e+39),
+    (46, 2.0, -2.5, 17.37, -6.2281143393212391e+39, 1.9118285239082325e+40),
+    (61, 0.0, 8.0, 8.366, -2.0749309391031101e+54, -2.5470025088844725e+53),
+    (61, 0.0, 8.0, 8.884, 3.6194075629605766e+55, 7.0111960388651468e+55),
+    (100, 0.5, -8.0, 13.07, -4.4099472153584302e+106, 2.022686387705184e+105),
+    (100, 0.5, -8.0, 21.56, -4.1518510830460901e+125, -2.4578191112719494e+126),
+    (140, 1.0, 8.0, 17.81, -1.1835128823562121e+165, -2.9756387205365899e+164),
+    (140, 1.0, 0.0, 152.4, 8.1958856846211159e+238, 0.0),
+    (171, 2.0, -8.0, 21.06, -2.4263048256003702e+205, 4.3066609121721438e+205),
+    (171, 2.0, 0.0, 92.19, 2.0533198066698705e+255, 0.0),
+    (172, 0.0, 8.0, 4.5, -4.197808543752021e+109, -1.2114064222001135e+110),
+    (240, 0.5, -8.0, 2.785, -5.825551276984507e+103, 1.1574479305163685e+103),
+    (300, 1.0, 8.0, 2.101, -1.1017181765741011e+93, -1.8936269064224574e+93),
+    (300, 2.0, 0.0, 0.5082, 7.8222017780025433e-92, 0.0),
+    (171, 0.5, 0.0, 1.0, 0.0035573037473033534, 0.0),
+]
+
+
+@pytest.mark.parametrize("s,m,g,x,re,im", LOWER_GAMMA_REFS)
+def test_lower_gamma_kernel_against_mpmath(s, m, g, x, re, im):
+    want = complex(re, im)
+    assert abs(_lower_gamma_int(s, complex(-m, g), x) - want) <= 1e-13 * abs(want)
+
+
+def _lower_gamma_complement_reference(s, c, x):
+    """(-c)^-s ((s-1)! - Gamma(s, -cx)): the integral as the kernel formed it
+    wherever |cx| > 8 before it had a series for |cx| < s + 8."""
+    z = complex(-c * x)
+    return (-c) ** (-s) * (math.factorial(s - 1) - upper_incomplete_gamma(s, z))
+
+
+def test_lower_gamma_complement_is_bit_for_bit():
+    # every point with |cx| >= s + 8 keeps the complement's operations
+    rng = np.random.default_rng(19)
+    checked = 0
+    for _ in range(4000):
+        s = int(rng.integers(1, 172))
+        c = complex(-float(rng.choice([0.0, 0.5, 1.0, 2.0])), rng.uniform(-9, 9))
+        x = float(rng.uniform(0.05, 40.0))
+        if abs(c * x) < s + 8:
+            continue
+        try:
+            want = _lower_gamma_complement_reference(s, c, x)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _lower_gamma_int(s, c, x)
+            continue
+        got = _lower_gamma_int(s, c, x)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        checked += 1
+    assert checked > 500
 
 
 def test_minus_infinity_stays_on_the_branch_cut():

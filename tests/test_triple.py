@@ -370,13 +370,48 @@ def test_indefinite_overflowing_argument_is_an_overflow():
         eval_indefinite(dataclasses.replace(s, n=4), 1e308)
 
 
-def test_indefinite_huge_power_raises_at_once():
-    # the incomplete gamma of order n + 1 = 1e17 overflows; it is refused
-    # before its n-term sum runs
+def test_indefinite_huge_power_returns_at_once():
+    # n + 1 = 1e17: the lower-gamma series needs no n!, so it returns at
+    # once. At x = 0.5 the value, about 10^(-3e16), underflows to 0; where
+    # x^(n+1) overflows, that overflow raises.
+    s = spec(1e17, 1.0, a=1.2, b=0.8, u=2.0)
     start = time.perf_counter()
-    with pytest.raises(OverflowError, match="double-precision range"):
-        eval_indefinite(spec(1e17, 1.0, a=1.2, b=0.8, u=2.0), 0.5)
+    assert eval_indefinite(s, 0.5).value == 0
+    with pytest.raises(OverflowError):
+        eval_indefinite(s, 2.0)
     assert time.perf_counter() - start < 1.0
+
+
+# Frozen references from scripts/gen_reference_values.py (mpmath, dps=40):
+# (h, k, l, n, m, alpha, beta, mu, x_lo, x_hi, F(x_hi) - F(x_lo), the
+# reference's own relative error estimate), by quadrature with mpmath's
+# Bessel functions, so neither closed form nor the oracle enters.
+LARGE_POWER_REFS = [
+    (0, 0, 0, 45, 1.0, 1.0, 1.0, 1.0, 6.0, 6.5,
+     6.3613926394053246e+27, 1.7e-44),
+    (0, 0, 0, 30, 1.0, 1.0, 1.0, 1.0, 6.0, 6.5,
+     1460019803343050.0, 7.5e-71),
+    (1, 1, 1, 60, 1.0, 1.2, 0.8, 2.0, 6.2, 6.4,
+     -5.174025764689156e+40, 1.9e-45),
+    (2, 3, 1, 40, 0.5, 1.2, 0.8, 2.0, 3.0, 5.0,
+     -2.3702520117913415e+22, 4.2e-45),
+    (8, 8, 8, 30, 1.0, 1.2, 0.8, 2.0, 4.0, 9.0,
+     3.2577020436642277e+20, 3.4e-68),
+]
+
+
+@pytest.mark.parametrize("case", LARGE_POWER_REFS,
+                         ids=lambda c: f"{c[0]}{c[1]}{c[2]}-n{c[3]}")
+def test_indefinite_interval_at_large_power(case):
+    h, k, l, n, m, a, b, u, x_lo, x_hi, want, want_err = case
+    s = spec(n, m, h, k, l, a, b, u)
+    hi, lo = eval_indefinite(s, x_hi), eval_indefinite(s, x_lo)
+    miss = abs(hi.value - lo.value - want)
+    assert miss <= 1e-12 * abs(want)
+    assert miss <= hi.err_estimate + lo.err_estimate + want_err * abs(want)
+    if h == k == l == 0:
+        direct = special_case_000(n, m, a, b, u, x_hi) - special_case_000(n, m, a, b, u, x_lo)
+        assert abs(direct - want) <= 1e-12 * abs(want)
 
 
 # inputs whose terms overflow double precision: the reduction's 1/(abg) is
@@ -412,6 +447,26 @@ def test_indefinite_antiderivative_property_sample():
 
 
 # --- the independent h=k=l=0 path ---------------------------------------------------
+
+# (n, m, x) where eval_indefinite's bar, 5e-15 of sum |term|, is tighter than
+# its error there (1.1e-13 and 4.1e-14 of the value against mpmath, bars of
+# 4.3e-14 and 7.9e-15). The kernels are within 2e-15 at these points; the
+# rest comes from the reduction (ROADMAP item 2).
+INDEFINITE_BAR_MISSES = {(45, 0.5, 12.0), (60, 0.5, 12.0)}
+
+
+@pytest.mark.parametrize("n", [30, 45, 60])
+def test_special_case_matches_general_path_at_large_power(n):
+    # both paths take every p >= 0 term from the one lower-gamma kernel;
+    # special_case_000 gives no bar, so each path is allowed eval_indefinite's
+    for m, a, b, u in ((1.0, 1.0, 1.0, 1.0), (0.5, 1.2, 0.8, 2.0), (2.0, 0.7, 1.3, 1.1)):
+        for x in (0.5, 3.0, 6.5, 12.0):
+            r = eval_indefinite(spec(n, m, a=a, b=b, u=u), x)
+            miss = abs(special_case_000(n, m, a, b, u, x) - r.value)
+            assert miss <= 1e-12 * abs(r.value)
+            if (n, m, x) not in INDEFINITE_BAR_MISSES:
+                assert miss <= 2 * r.err_estimate
+
 
 def test_special_case_matches_general_path_undamped():
     a = special_case_000(3, 0.0, 1.0, 1.0, 1.0, 2.0)
