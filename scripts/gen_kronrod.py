@@ -5,7 +5,7 @@ E_8, defined by int_{-1}^{1} P_7(x) E_8(x) x^k dx = 0 for k = 0..7 (solved
 exactly over rationals). Gauss nodes are the roots of P_7. Weights come from
 a high-precision Vandermonde solve against monomial moments, then everything
 is verified by degree-of-exactness checks (G7 exact through degree 13, K15
-through degree 22) before printing.
+through degree 22 but not at degree 24) before printing.
 
 Run: python3 scripts/gen_kronrod.py
 """
@@ -102,19 +102,26 @@ gauss_sorted = sorted(gauss_nodes)
 wg = [2 / ((1 - x ** 2) * p7_deriv(x) ** 2) for x in gauss_sorted]
 
 
+def residual(nodes, weights, k):
+    """|rule - exact| on x^k over [-1, 1]."""
+    q = sum(w * x ** k for x, w in zip(nodes, weights))
+    exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else mp.mpf(0)
+    return abs(q - exact)
+
+
 def check_exactness(nodes, weights, deg):
-    worst = mp.mpf(0)
-    for k in range(deg + 1):
-        q = sum(w * x ** k for x, w in zip(nodes, weights))
-        exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else mp.mpf(0)
-        worst = max(worst, abs(q - exact))
-    return worst
+    return max(residual(nodes, weights, k) for k in range(deg + 1))
 
 
-print("# G7 exactness through 13:", mp.nstr(check_exactness(gauss_sorted, wg, 13), 3))
-print("# K15 exactness through 22:", mp.nstr(check_exactness(all_nodes, wk, 22), 3))
-print("# K15 degree-23 residual (should be ~1e-5, NOT exact):",
-      mp.nstr(check_exactness(all_nodes, list(wk), 23), 3))
+g7_worst = check_exactness(gauss_sorted, wg, 13)
+k15_worst = check_exactness(all_nodes, wk, 22)
+# a symmetric rule integrates every odd degree exactly, so the first degree
+# K15 must miss is 24 (residual ~6e-9)
+k15_miss = residual(all_nodes, list(wk), 24)
+print("# G7 exactness through 13:", mp.nstr(g7_worst, 3))
+print("# K15 exactness through 22:", mp.nstr(k15_worst, 3))
+print("# K15 degree-24 residual (NOT exact):", mp.nstr(k15_miss, 3))
+assert g7_worst < 1e-50 and k15_worst < 1e-50 and k15_miss > 1e-12
 
 gauss_set = {mp.nstr(x, 30) for x in gauss_sorted}
 print("\n# abscissae (ascending) / kronrod weight / gauss weight (0 if Kronrod-only)")

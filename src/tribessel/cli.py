@@ -273,6 +273,8 @@ def _cmd_compare(parser: _Parser, args) -> int:
         parser.error("interval comparison needs both --x-lo and --x-hi")
     if interval and not args.x_lo > 0:
         parser.error("--x-lo must be > 0")
+    if interval and not args.x_lo < args.x_hi < math.inf:
+        parser.error("--x-hi must be finite and > --x-lo")
 
     def compare(spec: IntegralSpec) -> list:
         if interval:
@@ -389,13 +391,19 @@ def _build_parser() -> _Parser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Insert key=value pairs from --config as flags before the real ones."""
-    if "--config" not in argv:
+    """Insert key=value pairs from --config FILE or --config=FILE as flags
+    before the real ones."""
+    for idx, arg in enumerate(argv):
+        if arg.startswith("--config="):
+            path = arg.partition("=")[2]
+            break
+        if arg == "--config":
+            if idx + 1 >= len(argv):
+                return argv  # let argparse report the missing value
+            path = argv[idx + 1]
+            break
+    else:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv  # let argparse report the missing value
-    path = argv[idx + 1]
     tokens = []
     with open(path) as fh:
         for line in fh:

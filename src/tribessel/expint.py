@@ -274,6 +274,8 @@ def _lower_gamma_int(s: int, c: complex, x: float) -> complex:
         upper = upper_incomplete_gamma(s, z)  # raises before (s-1)! is formed
         return (-c) ** (-s) * (math.factorial(s - 1) - upper)
     scale = x ** s * cmath.exp(-z)
+    if scale == 0:  # underflowed: the sum can only multiply it
+        return scale
     term = total = 1.0 / s
     k = s
     while abs(term) > _SERIES_EPS * abs(total):

@@ -1,12 +1,14 @@
 """Quadrature oracle used to verify the closed forms.
 
-Everything here works directly on the integrand as a black box: adaptive
+The quadrature works directly on the integrand as a black box: adaptive
 Gauss-Kronrod 15/7 on finite intervals, plus two independent tail policies
 for the semi-infinite range (cell summation with repeated averaging for the
 undamped case, analytic truncation bounds otherwise). Only x^n, the
 integrand's singular part at the origin when h = k = l = 0 and n < 0, is
-integrated analytically. The closed-form modules never call into this one,
-so agreement between the two is meaningful.
+integrated analytically. One part is not independent: the m = 0
+exponential-bound tail bound reads the closed form's reduce_orders, so a
+fault in the reduction would also loosen that bound. The closed-form
+modules never call into this one.
 
 `quad_finite` evaluates each refinement round in one integrand call: the
 initial segments together (in chunks of `_BATCH_SEGMENTS`), then both halves
@@ -49,8 +51,12 @@ _G7_WEIGHTS = np.array([
 ])
 
 _MAX_SEGMENTS = 20000
+# Farthest truncation point of either truncating tail: the damped tail raises
+# past it, and the m = 0 exponential bound stops unconverged at its first step
+# past it.
+_X_MAX = 3.0e5
 # Segments per batched integrand call: caps one call at 15 * 256 nodes, so a
-# long exponential_bound body (x_max up to 3e5) never builds one huge array.
+# long exponential_bound body (x_max up to _X_MAX) never builds one huge array.
 _BATCH_SEGMENTS = 256
 
 
@@ -183,20 +189,27 @@ def _combined_frequencies(spec: IntegralSpec):
 
 
 def _truncation_point_damped(spec: IntegralSpec, tol: float) -> float:
-    """X with int_X^inf |integrand| below tol, using |j_l(z)| <= 1/z."""
+    """X with int_X^inf |integrand| below tol, using |j_l(z)| <= 1/z.
+    Where alpha*beta*mu*m underflows, or X lies past _X_MAX, it raises."""
     n = float(spec.n)
     m = float(spec.m)
-    prod = float(spec.alpha) * float(spec.beta) * float(spec.mu)
+    scale = float(spec.alpha) * float(spec.beta) * float(spec.mu) * m
+    if scale == 0.0:
+        raise OverflowError(f"alpha*beta*mu*m underflows at m={m}")
     x = 10.0
     for _ in range(80):
         x_new = (math.log(1.0 / tol) + (n - 3.0) * math.log(x)
-                 - math.log(prod * m)) / m
+                 - math.log(scale)) / m
         x_new = max(x_new, 5.0)
         if abs(x_new - x) < 1e-3:
             x = x_new
             break
         x = x_new
-    return max(x + 5.0 / m, 15.0)
+    x = max(x + 5.0 / m, 15.0)
+    if x > _X_MAX:
+        raise ArithmeticError(
+            f"the damped tail needs x up to {x:.3g}, past the cap {_X_MAX:.3g}")
+    return x
 
 
 def _tail_bound_undamped(spec: IntegralSpec, x: float) -> float:
@@ -259,7 +272,9 @@ def quad_semi_infinite(spec: IntegralSpec,
     """Oracle value of int_0^inf x^n e^{-mx} j_h j_k j_l dx.
 
     It exists where the closed form's does (IntegralSpec.check_convergence).
-    The m = 0 tail follows config.tail_policy.
+    The m = 0 tail follows config.tail_policy. A damped tail that would
+    need x past _X_MAX raises ArithmeticError, and one whose
+    alpha*beta*mu*m underflows raises OverflowError.
     """
     if config is None:
         config = QuadConfig()
@@ -281,7 +296,7 @@ def quad_semi_infinite(spec: IntegralSpec,
             x_max = 50.0
             while _tail_bound_undamped(spec, x_max) > 0.5 * config.abs_tol:
                 x_max *= 1.3
-                if x_max > 3.0e5:
+                if x_max > _X_MAX:
                     converged = False
                     break
             tail_err = _tail_bound_undamped(spec, x_max)

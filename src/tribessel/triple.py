@@ -428,29 +428,10 @@ def _cexpm1(z: complex) -> complex:
                    (em + 1.0) * math.sin(z.imag))
 
 
-def _gamma_power_factors(p1: float, finite_part: bool) -> tuple:
-    """The w-free part of _gamma_power for the power p1: (q, r, f, s, g).
-
-    q is None outside finite_part or where p1 rounds to >= 1: then
-    f = Gamma(p1) and s = -p1. Otherwise q = -round(p1), r = p1 + q and
-    f = (-1)^q / q!; s is H_q at r = 0 and -sum_{i<=q} log1p(-r/i)
-    elsewhere, where g = Gamma(1+r). math.gamma's overflow raises here.
-    """
-    near = round(p1)
-    r = p1 - near
-    if near >= 1 or not finite_part:
-        return None, r, math.gamma(p1), -p1, None
-    q = -int(near)
-    f = (-1.0 if q % 2 else 1.0) / math.factorial(q)
-    if r == 0.0:
-        return q, r, f, _harmonic(q + 1), None
-    s = complex(-sum(math.log1p(-r / i) for i in range(1, q + 1)))
-    return q, r, f, s, math.gamma(1.0 + r)
-
-
-def _gamma_power(factors: tuple, wlog: tuple) -> complex:
-    """Gamma(p1) * w^(-p1), or its finite part near a Gamma pole, from
-    p1's _gamma_power_factors and wlog = (w, principal log w).
+def _gamma_power(p1: float, finite_part: bool):
+    """Gamma(p1) * w^(-p1), or its finite part near a Gamma pole, as a
+    function of (w, principal log w). The w-free part is computed here,
+    once per power, and math.gamma's overflow raises here.
 
     Outside finite_part, or where p1 rounds to >= 1, this is math.gamma
     times the principal power. Near a pole -q, math.gamma's reflection
@@ -466,79 +447,68 @@ def _gamma_power(factors: tuple, wlog: tuple) -> complex:
     term of that sum takes the product form, even where rounding p1 has
     put its r on +-0.25.
     """
-    q, r, f, s, g = factors
-    w, logw = wlog
-    if q is None:
-        return f * cmath.exp(s * logw)
-    k = f * w ** q
+    near = round(p1)
+    r = p1 - near
+    if near >= 1 or not finite_part:
+        g, s = math.gamma(p1), -p1
+        return lambda w, logw: g * cmath.exp(s * logw)
+    q = -int(near)
+    f = (-1.0 if q % 2 else 1.0) / math.factorial(q)
     if r == 0.0:
-        return k * (s - logw)
-    return g * k * _cexpm1(s - r * logw) / r
-
-
-def _definite_term(p: float, m: float, gamma: float, kind: str,
-                   finite_part: bool, powers: dict, logs: dict) -> float:
-    """Analytic continuation of int_0^inf x^p e^{-mx} kind(gamma x) dx.
-
-    Gamma(p+1) * Im/Re[(m - i gamma)^{-(p+1)}] by _gamma_power. The
-    caller's powers (p -> _gamma_power_factors) and logs
-    (gamma -> (w, log w)) are filled here on first use: terms that share a
-    power or a frequency reuse those parts, and a power's raise falls on
-    the first term that needs its Gamma factor. The degenerate gamma = 0
-    cosine term with m = 0 takes the scaleless continuation 0 (the genuine
-    m -> 0+ limit of Gamma(p+1) m^{-p-1} for the p < -1 powers that occur).
-    Under finite_part with p + 1 = r near 0 it returns -Gamma(1+r)/r
-    instead: the pole parts the other terms dropped, whose K add up to minus
-    this term's K = 1. That is the genuine pole at n = 2 of an m = 0
-    integral with a non-oscillating x^(n-3) tail.
-    """
-    if gamma == 0.0:
-        if kind == "sin":
-            return 0.0
-        if m == 0.0:
-            if finite_part and round(p) == -1:
-                r = p + 1.0
-                return -math.gamma(1.0 + r) / r
-            return 0.0
-    factors = powers.get(p)
-    if factors is None:
-        factors = powers[p] = _gamma_power_factors(p + 1.0, finite_part)
-    wlog = logs.get(gamma)
-    if wlog is None:
-        w = complex(m, -gamma)
-        wlog = logs[gamma] = (w, cmath.log(w))
-    val = _gamma_power(factors, wlog)
-    return val.imag if kind == "sin" else val.real
+        h_q = _harmonic(q + 1)
+        return lambda w, logw: f * w ** q * (h_q - logw)
+    s = complex(-sum(math.log1p(-r / i) for i in range(1, q + 1)))
+    g = math.gamma(1.0 + r)
+    return lambda w, logw: g * (f * w ** q) * _cexpm1(s - r * logw) / r
 
 
 def eval_definite(spec: IntegralSpec) -> EvalResult:
     """Definite integral int_0^inf x^n e^{-mx} j_h j_k j_l dx in closed form.
 
-    Where spec.check_convergence admits the integral, every n takes the
-    same term-by-term sum over the cached n-free reduction (_spec_shape),
-    with each distinct power's and frequency's part of the Gamma power
-    computed once. Within 0.25 of an integer n0 the terms near Gamma
-    poles contribute their finite parts (_gamma_power). The dropped pole
-    parts add up to Gamma(1+r)/r, r = n - n0, times sum coeff * K, the x^-1
-    coefficient of the integrand's small-x expansion at n0. That is zero
-    with m > 0 unless n0 = -1 and h = k = l = 0, where x^-1 e^{-mx} j_0^3
-    starts with x^-1: that genuine pole is put back here. With m = 0 the
-    scaleless gamma = 0 term takes no part in the sum, and a
-    non-oscillating x^(n-3) tail makes n = 2 a genuine pole;
-    _definite_term puts it back.
+    Where spec.check_convergence admits the integral, one walk over the
+    cached n-free reduction (_spec_shape), sorted by power, adds
+    coeff * Gamma(p+1) Im/Re[(m - i gamma)^{-(p+1)}] per term. Each power's
+    _gamma_power is made at the first of its terms that needs one, where
+    its raise falls, and each frequency's (w, log w) is formed once.
+
+    Within 0.25 of an integer n0 the terms near Gamma poles contribute
+    their finite parts. The dropped pole parts add up to Gamma(1+r)/r,
+    r = n - n0, times sum coeff * K, the x^-1 coefficient of the
+    integrand's small-x expansion at n0. That is zero with m > 0 unless
+    n0 = -1 and h = k = l = 0, where x^-1 e^{-mx} j_0^3 starts with x^-1:
+    that genuine pole is put back after the loop. With m = 0 the scaleless
+    gamma = 0 cosine term continues to 0 (the m -> 0+ limit of
+    Gamma(p+1) m^{-p-1} for the p < -1 that occur), but its
+    non-oscillating x^(n-3) tail makes n = 2 a genuine pole: there the
+    term takes -Gamma(1+r)/r, r = p + 1, in its sorted place, the parts
+    the other terms dropped, whose K add up to minus its K = 1.
     """
     spec.check_convergence()
     n = float(spec.n)
     m = float(spec.m)
     n0 = round(n)
     finite_part = abs(n - n0) < 0.25
-    powers: dict = {}
-    logs: dict = {}
+    logs = {}
+    p_power = None
     value = size = 0.0
     for d, kind, gamma, coeff in _spec_shape(spec):
         p = n + d
-        t = coeff.real * _definite_term(p, m, gamma, kind, finite_part,
-                                        powers, logs)
+        if gamma == 0.0 and kind == "sin":
+            val = 0.0
+        elif gamma == 0.0 and m == 0.0:
+            r = p + 1.0
+            val = (-math.gamma(1.0 + r) / r
+                   if finite_part and round(p) == -1 else 0.0)
+        else:
+            if p != p_power:
+                p_power, power = p, _gamma_power(p + 1.0, finite_part)
+            wlog = logs.get(gamma)
+            if wlog is None:
+                w = complex(m, -gamma)
+                wlog = logs[gamma] = (w, cmath.log(w))
+            z = power(*wlog)
+            val = z.imag if kind == "sin" else z.real
+        t = coeff.real * val
         value += t
         size += (2.0 + abs(p)) * abs(t)
     if finite_part and n0 == -1 and spec.h == spec.k == spec.l == 0:

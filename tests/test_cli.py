@@ -230,6 +230,27 @@ def test_compare_failing_row_exits_3(capsys):
     assert out.strip().splitlines()[-1].endswith(",fail")
 
 
+@pytest.mark.parametrize("x_hi", ["1", "2", "inf"])
+def test_compare_interval_needs_finite_x_hi_above_x_lo(capsys, x_hi):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", *SINC3, "--x-lo", "2", "--x-hi", x_hi])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.endswith("--x-hi must be finite and > --x-lo\n")
+
+
+def test_compare_damped_tail_past_the_cap_is_cannot_evaluate(capsys):
+    code, out, _ = run(capsys, ["compare", "--n", "0", "--m", "1e-9,1e-300,1",
+                                "--h", "0", "--k", "0", "--l", "0",
+                                "--alpha", "1", "--beta", "1", "--mu", "1",
+                                "--format", "csv"])
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == [
+        "cannot-evaluate", "cannot-evaluate", "pass"]
+
+
 # --- sweep ------------------------------------------------------------------
 
 def test_sweep_grid_and_range_syntax(capsys):
@@ -424,6 +445,17 @@ def test_config_value_may_start_with_dash(capsys, tmp_path):
                               "--beta", "0.8", "--mu", "2", "--definite"])
     assert out == want
     assert len(out.splitlines()) == 3
+
+
+def test_config_equals_form_reads_the_file(capsys, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n=0\nm=1\nh=0\nk=0\nl=0\nalpha=1\nbeta=1\nmu=1\n"
+                   "definite = true\n")
+    code, want, _ = run(capsys, ["eval", "--config", str(cfg)])
+    assert code == 0
+    code, out, err = run(capsys, ["eval", f"--config={cfg}"])
+    assert code == 0, err
+    assert out == want
 
 
 def test_output_file_resolves_against_env_dir(capsys, tmp_path, monkeypatch):

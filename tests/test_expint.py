@@ -268,6 +268,16 @@ def test_incomplete_gamma_past_the_factorial_range_raises_up_front(s):
         _lower_gamma_int(s, -2.0 * s - 8.0, 1.0)
 
 
+@pytest.mark.parametrize("s", [10**12, 10**17])
+def test_lower_gamma_underflowed_series_returns_at_once(s):
+    # x^s e^{cx} = e^{-s} underflows to 0 and the series would need about
+    # sqrt(83 s) steps to settle at |cx| = s: the zero returns at once
+    start = time.perf_counter()
+    value = _lower_gamma_int(s, -float(s), 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert (value.real.hex(), value.imag.hex()) == ("0x0.0p+0", "0x0.0p+0")
+
+
 # Frozen references from scripts/gen_reference_values.py (mpmath, dps=40):
 # (s, m, g, x, Re K, Im K) for K(s, c, x) = int_0^x t^(s-1) e^(ct) dt at
 # c = -m + i g, on both sides of the series/complement line |cx| = s + 8.

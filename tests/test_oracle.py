@@ -1,5 +1,6 @@
 import heapq
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from tribessel.oracle import (
     quad_semi_infinite,
 )
 from tribessel.sphfun import _jl_vec
-from tribessel.triple import IntegralSpec, integrand
+from tribessel.triple import IntegralSpec, eval_definite, integrand
 
 THREE_PI_8 = 1.1780972450961725
 
@@ -248,6 +249,31 @@ def test_semi_infinite_divergence_preconditions():
         quad_semi_infinite(IntegralSpec(n=0, m=0, h=0, k=0, l=0,
                                         alpha=1, beta=1, mu=1,
                                         m_imaginary=True))
+
+
+@pytest.mark.parametrize("m", [1e-9, 1e-300])
+def test_semi_infinite_damped_tail_past_the_cap_raises(m):
+    # the truncation point 5/m lies past _X_MAX: the oracle refuses at once
+    # instead of laying out 5/m / (pi/3) breakpoints
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="past the cap"):
+        quad_semi_infinite(spec000(0, m))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_semi_infinite_underflowing_scale_is_an_overflow():
+    s = spec000(0, 1.0, 1e-120, 1e-120, 1e-120)
+    with pytest.raises(OverflowError, match="underflows"):
+        quad_semi_infinite(s)
+    with pytest.raises(OverflowError):
+        eval_definite(s)
+
+
+def test_semi_infinite_small_damping_inside_the_cap():
+    s = spec000(0, 1e-4)
+    r = quad_semi_infinite(s)
+    assert r.converged
+    assert abs(r.value.real - eval_definite(s).value.real) <= r.err_estimate
 
 
 def test_semi_infinite_err_estimate_honest():

@@ -907,6 +907,9 @@ def _eval_definite_reference(s):
         value += t
         size += 3.0 * abs(t)
     err = max(abs(value) * 5e-14, size * 4.4e-16) + 1e-300
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise OverflowError(
+            f"closed-form terms overflow: {complex(value)} +- {err}")
     return complex(value), "closed_form", err
 
 
@@ -965,6 +968,14 @@ def _definite_guard_specs():
         out.append(IntegralSpec(n=n, m=(0.0, 0.5, 1.0, 2.0)[i % 4], h=h,
                                 k=k, l=l, alpha=freqs[0], beta=freqs[1],
                                 mu=freqs[2]))
+    # large n: finite values, the non-finite raise and math.gamma's overflow
+    for i in range(120):
+        h, k, l = (int(o) for o in rng.integers(0, 9, size=3))
+        freqs = (float(v) for v in rng.uniform(0.3, 3.0, size=3))
+        out.append(IntegralSpec(n=float(rng.uniform(165.0, 200.0)),
+                                m=(0.5, 1.0, 2.0)[i % 3], h=h, k=k, l=l,
+                                alpha=next(freqs), beta=next(freqs),
+                                mu=next(freqs)))
     return out
 
 
@@ -976,14 +987,19 @@ def test_definite_matches_per_term_reference_bit_for_bit():
         assert _outcome(_eval_definite_fields, s) == want, s
         outcomes.append(want)
     # the population reaches the near-pole, gamma = 0 and divergent paths
-    assert len(specs) == 720
+    assert len(specs) == 840
     assert sum(o[0] is DivergenceError for o in outcomes) >= 20
+    large = outcomes[720:]
+    assert sum(isinstance(o[0], str) for o in large) >= 5
+    for message in ("closed-form terms overflow", "math range error"):
+        assert sum(o[0] is OverflowError and o[1].startswith(message)
+                   for o in large) >= 5, message
     assert sum(0.0 < abs(s.n - round(s.n)) < 1e-6 for s in specs) >= 300
     assert sum(-1.0 < s.n < -0.75 for s in specs) >= 100
     zero_gamma = [s for s in specs if any(g == 0.0 for _, _, g, _ in
                   _reduce_shape(s.h, s.k, s.l, s.alpha, s.beta, s.mu))]
     assert len(zero_gamma) >= 100
-    # the m = 0 pole at n = 2 that _definite_term puts back
+    # the m = 0 pole at n = 2 that eval_definite puts back
     assert sum(s.m == 0.0 and 1.75 < s.n < 2.0 for s in zero_gamma) >= 3
 
 
