@@ -167,6 +167,8 @@ def lower_gamma_points():
         for side in sides:
             yield s, m, g, float(f"{side * (s + 8) / abs(complex(-m, g)):.4g}")
     yield 171, 0.5, 0.0, 1.0  # a first term z^s/s! would underflow here
+    # series side where x^s overflows but x^s e^(cx) does not
+    yield 171, 2.0, 0.0, 87.0
 
 
 print("# K(s, c, x) = int_0^x t^(s-1) e^(ct) dt at c = -m + i g")
@@ -176,6 +178,47 @@ for s, m, g, x in lower_gamma_points():
     value = (-c) ** (-s) * mp.gammainc(s, 0, -c * x)
     print(f"    ({s}, {m!r}, {g!r}, {x!r}, {mp.nstr(value.real, 17)}, "
           f"{mp.nstr(value.imag, 17)}),")
+print("]")
+
+
+# int_a^b t^n e^(ct) dt = F(b) - F(a) for expint.z_antiderivative, for
+# tests/test_expint.py. For n >= 0, F(x) = int_0^x t^n e^(ct) dt =
+# x^(n+1)/(n+1) M(n+1, n+2, cx) (DLMF 8.5.1), so a = 0 pins F(b) itself. The
+# differences sit at small |c|, where F = -(-c)^(-n-1) Gamma(n+1, -cx) hides
+# them behind a constant of size n! |c|^(-n-1); the points at n + 1 = 20-59
+# have small Re(cx).
+Z_ANTIDERIVATIVE_POINTS = (
+    # n, Re c, Im c, a, b
+    (5, 1e-3, 0.0, 1.0, 2.0),
+    (8, -1e-4, 1e-4, 0.5, 1.5),
+    (12, 0.0, 0.01, 1.0, 1.1),
+    (3, -1e-6, 0.0, 1.0, 2.0),
+    (19, 0.0, 1.0, 0.0, 12.0),
+    (24, -0.01, -1.5, 0.0, 10.0),
+    (29, 0.0, 2.0, 0.0, 12.5),
+    (34, -0.02, 1.0, 0.0, 30.0),
+    (39, 0.0, -3.0, 0.0, 11.0),
+    (44, -0.01, 2.5, 0.0, 4.0),
+    (49, 0.0, 1.0, 0.0, 12.0),
+    (54, -0.05, -2.0, 0.0, 7.0),
+    (58, 0.0, 4.0, 0.0, 4.0),
+    (58, -0.02, 1.0, 0.0, 15.0),
+)
+
+
+def power_exp_integral(n, c, x):
+    """int_0^x t^n e^(ct) dt for integer n >= 0."""
+    x = mp.mpf(x)
+    return x ** (n + 1) / (n + 1) * mp.hyp1f1(n + 1, n + 2, c * x)
+
+
+print("# int_a^b t^n e^(ct) dt, a = 0 for F(b) itself")
+print("Z_ANTIDERIVATIVE_REFS = [")
+for n, c_re, c_im, a, b in Z_ANTIDERIVATIVE_POINTS:
+    c = mp.mpc(c_re, c_im)
+    value = power_exp_integral(n, c, b) - power_exp_integral(n, c, a)
+    print(f"    ({n}, {c_re!r}, {c_im!r}, {a!r}, {b!r}, "
+          f"{mp.nstr(value.real, 17)}, {mp.nstr(value.imag, 17)}),")
 print("]")
 
 

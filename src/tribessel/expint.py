@@ -264,16 +264,21 @@ def _lower_gamma_int(s: int, c: complex, x: float) -> complex:
     """K(s, c, x) = int_0^x t^{s-1} e^{ct} dt = (-c)^{-s} gamma(s, -cx), integer s >= 1.
 
     Where |cx| < s + 8 the series x^s e^{cx} sum_k (-cx)^k / (s(s+1)...(s+k))
-    (DLMF 8.7.1), which holds no factorial: it overflows only where x^s
-    does, and raises that OverflowError before it sums. Elsewhere, a NaN cx
-    included, the complement (-c)^{-s} ((s-1)! - Gamma(s, -cx)), which needs
-    (s-1)! in double range and rejects a non-finite cx.
+    (DLMF 8.7.1), which holds no factorial. Where x^s or e^{cx} alone
+    overflows, x^s e^{cx} is formed as exp(s log x + cx), which raises
+    OverflowError before the sum only where that product overflows too.
+    Elsewhere, a NaN cx included, the complement
+    (-c)^{-s} ((s-1)! - Gamma(s, -cx)), which needs (s-1)! in double range
+    and rejects a non-finite cx.
     """
     z = check_product(-c, x)
     if not abs(z) < s + 8:
         upper = upper_incomplete_gamma(s, z)  # raises before (s-1)! is formed
         return (-c) ** (-s) * (math.factorial(s - 1) - upper)
-    scale = x ** s * cmath.exp(-z)
+    try:
+        scale = x ** s * cmath.exp(-z)
+    except OverflowError:
+        scale = cmath.exp(s * math.log(x) - z)
     if scale == 0:  # underflowed: the sum can only multiply it
         return scale
     term = total = 1.0 / s
@@ -304,31 +309,26 @@ def _pv_negative_power_antiderivative(n: int, c: float, x: float) -> float:
     return g
 
 
-def z_antiderivative(n: int, c: complex, x: float, principal_value: bool = True) -> complex:
+def z_antiderivative(n: int, c: complex, x: float) -> complex:
     """Antiderivative F(x) of x^n e^{cx} for integer n and complex scale c.
 
-    For n >= 0 the value is e^{cx} times a degree-n polynomial (the recursion
-    F_n = x^n e^{cx}/c - (n/c) F_{n-1} in closed form,
-    F = -(-c)^{-n-1} Gamma(n+1, -cx)), so F_1(x) = (x-1)e^x at c = 1.
-    For n <= -1 it reduces to -x^{n+1} E_{-n}(-cx); when c x lands on the
-    positive real axis that argument sits on the E_n branch cut and the real
-    principal value (Ei-based) is returned unless principal_value=False.
-    c = 0 degenerates to the pure power x^{n+1}/(n+1), or log x at n = -1.
+    For n >= 0 it is the integral from 0, int_0^x t^n e^{ct} dt =
+    _lower_gamma_int(n + 1, c, x): F(0) = 0, so F_1(x) = (x-1)e^x + 1 at
+    c = 1. For n <= -1 it reduces to -x^{n+1} E_{-n}(-cx); when c x lands on
+    the positive real axis that argument sits on the E_n branch cut and the
+    real principal value (Ei-based) is returned. c = 0 gives the pure power
+    x^{n+1}/(n+1), or log x at n = -1.
     """
     n = check_integer(n, "power")
     x = check_positive(x)
     c = complex(c)
+    if n >= 0:
+        return _lower_gamma_int(n + 1, c, x)
     if c == 0:
         if n == -1:
             return complex(math.log(x))
         return complex(x ** (n + 1) / (n + 1))
     z = check_product(-c, x)
-    if n >= 0:
-        return -((-c) ** (-n - 1)) * upper_incomplete_gamma(n + 1, z)
     if z.imag == 0.0 and z.real < 0.0:
-        if not principal_value:
-            raise BranchCutError(
-                f"antiderivative of x^{n} e^({c})x at x={x} lies on the E_n branch cut"
-            )
         return complex(_pv_negative_power_antiderivative(n, c.real, x))
     return -(x ** (n + 1)) * exp_integral_en(-n, z)

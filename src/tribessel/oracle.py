@@ -51,6 +51,8 @@ _G7_WEIGHTS = np.array([
 ])
 
 _MAX_SEGMENTS = 20000
+# Bisection depth past which quad_finite stops refining a segment.
+_MAX_DEPTH = 50
 # Farthest truncation point of either truncating tail: the damped tail raises
 # past it, and the m = 0 exponential bound stops unconverged at its first step
 # past it.
@@ -66,14 +68,11 @@ class QuadConfig:
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_depth: int = 50
     tail_policy: str = "period_summation"  # or "exponential_bound"
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise DomainError("tolerances must be positive")
-        if self.max_depth < 10:
-            raise DomainError(f"max_depth must be >= 10, got {self.max_depth}")
         if self.tail_policy not in ("period_summation", "exponential_bound"):
             raise DomainError(f"unknown tail_policy {self.tail_policy!r}")
 
@@ -127,7 +126,7 @@ def quad_finite(f, a: float, b: float, config: QuadConfig | None = None,
 
     heap = []
     seq = 0
-    done = []  # segments at max_depth, no longer refined
+    done = []  # segments at _MAX_DEPTH, no longer refined
     total = 0j
     err_total = 0.0
     n_initial = len(edges) - 1
@@ -146,7 +145,7 @@ def quad_finite(f, a: float, b: float, config: QuadConfig | None = None,
         if err_total <= tol or seq >= _MAX_SEGMENTS:
             break
         neg_err, _, lo, hi, val, depth = heapq.heappop(heap)
-        if depth >= config.max_depth:
+        if depth >= _MAX_DEPTH:
             done.append((lo, hi, val, -neg_err))
             continue
         mid = 0.5 * (lo + hi)

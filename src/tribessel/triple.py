@@ -285,29 +285,17 @@ def integrand(spec: IntegralSpec):
 # Indefinite integration
 # ---------------------------------------------------------------------------
 
-def _power_exp_antiderivative(p: int, c: complex, x: float) -> complex:
-    """Antiderivative of x^p e^{cx}, normalized to vanish at x = 0 for p >= 0.
-
-    For p >= 0 this is the integral from 0 by the lower-incomplete-gamma
-    kernel (stable for small |c| where the upper form hides the value behind
-    a huge constant); p <= -1 coincides with z_antiderivative's convention.
-    """
-    if p >= 0:
-        return _lower_gamma_int(p + 1, c, x)
-    return z_antiderivative(p, c, x)
-
-
 def _base_antiderivative(p: int, kind: str, gamma: float, coeff: complex,
                          damping: complex, x: float) -> complex:
     """antiderivative_base of checked arguments: integer p, damping w, x > 0."""
     if gamma == 0.0:
         if kind == "sin":
             return 0j
-        return coeff * _power_exp_antiderivative(p, -damping, x)
+        return coeff * z_antiderivative(p, -damping, x)
     c_plus = -damping + 1j * gamma
     c_minus = -damping - 1j * gamma
-    j_plus = _power_exp_antiderivative(p, c_plus, x)
-    j_minus = _power_exp_antiderivative(p, c_minus, x)
+    j_plus = z_antiderivative(p, c_plus, x)
+    j_minus = z_antiderivative(p, c_minus, x)
     if kind == "sin":
         return coeff * (j_plus - j_minus) / 2j
     return coeff * (j_plus + j_minus) / 2.0
@@ -340,8 +328,8 @@ def eval_indefinite(spec: IntegralSpec, x: float) -> EvalResult:
     """Closed-form antiderivative F(x) of the spec integrand (integer n).
 
     F is unique up to an additive constant; this implementation fixes the
-    constant by the term-level convention that every p >= 0 base
-    antiderivative vanishes at x = 0.
+    constant by z_antiderivative's term-level convention that every p >= 0
+    base antiderivative vanishes at x = 0.
     """
     n_int = check_integer_power(
         float(spec.n), "the indefinite closed form requires integer n, got {}")

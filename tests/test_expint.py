@@ -118,8 +118,9 @@ def test_fig1_qualitative_grid():
 # --- z_antiderivative ------------------------------------------------------
 
 def test_z_antiderivative_elementary_cases():
-    assert abs(z_antiderivative(0, 1.0, 1.0) - math.e) < 1e-14
-    assert abs(z_antiderivative(1, 1.0, 1.0)) < 1e-14  # (x-1)e^x at x=1
+    # n >= 0 integrates from 0: e^x - 1 and (x-1)e^x + 1 at x = 1
+    assert abs(z_antiderivative(0, 1.0, 1.0) - (math.e - 1.0)) < 1e-14
+    assert abs(z_antiderivative(1, 1.0, 1.0) - 1.0) < 1e-14
     assert abs(z_antiderivative(-1, 1.0, 2.0) - EI_2) < 1e-12
 
 
@@ -149,12 +150,54 @@ def test_z_antiderivative_is_an_antiderivative(c, x):
 
 
 def test_z_antiderivative_branch_cut_flag():
-    # c x on the positive axis puts the E_n argument on its cut
-    with pytest.raises(BranchCutError):
-        z_antiderivative(-1, 1.0, 2.0, principal_value=False)
-    # off-cut arguments never need the flag
-    val = z_antiderivative(-2, -1.5, 2.0, principal_value=False)
+    # c x on the positive axis puts the E_n argument on its cut: the real
+    # principal value -e^x/x + Ei(x) of int x^-2 e^x dx is returned
+    val = z_antiderivative(-2, 1.0, 2.0)
+    assert val.imag == 0.0
+    assert abs(val - (-math.exp(2.0) / 2.0 + EI_2)) < 1e-12
+    # off the cut the E_n form is finite
+    val = z_antiderivative(-2, -1.5, 2.0)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
+
+
+# Frozen references from scripts/gen_reference_values.py (mpmath, dps=40):
+# (n, Re c, Im c, a, b, Re, Im) of int_a^b t^n e^(ct) dt = F(b) - F(a) with
+# F = z_antiderivative(n, c, .) and F(0) = 0 for n >= 0.
+Z_ANTIDERIVATIVE_REFS = [
+    (5, 0.001, 0.0, 1.0, 2.0, 10.518158804110084, 0.0),
+    (8, -0.0001, 0.0001, 0.5, 1.5, 4.2706907204897149, 0.00057656199490377409),
+    (12, 0.0, 0.01, 1.0, 1.1, 0.18862565653315048, 0.0019981756495989853),
+    (3, -1e-06, 0.0, 1.0, 2.0, 3.74999380000525, 0.0),
+    (19, 0.0, 1.0, 0.0, 12.0, 7.6687766984352342e+19, -1.4895246362782822e+20),
+    (24, -0.01, -1.5, 0.0, 10.0, -1.0235241756671925e+23, -2.9907065447876076e+23),
+    (29, 0.0, 2.0, 0.0, 12.5, 1.4282856883756469e+31, -1.5431594501013812e+31),
+    (34, -0.02, 1.0, 0.0, 30.0, -3.2404641841035931e+49, -5.1719267344449953e+49),
+    (39, 0.0, -3.0, 0.0, 11.0, 5.5134823524056077e+39, -6.903458405062635e+39),
+    (44, -0.01, 2.5, 0.0, 4.0, -2.4208335814667257e+25, -9.1286905413723262e+24),
+    (49, 0.0, 1.0, 0.0, 12.0, 1.2381586115746786e+52, -1.2695087942928143e+52),
+    (54, -0.05, -2.0, 0.0, 7.0, 1.417454577614995e+44, -3.5074338152722239e+44),
+    (58, 0.0, 4.0, 0.0, 4.0, -5.4447612240736653e+33, -1.6831420587263113e+32),
+    (58, -0.02, 1.0, 0.0, 15.0, -1.7355189197779297e+67, 2.4503508565614814e+67),
+]
+
+
+@pytest.mark.parametrize("n,c_re,c_im,a,b,re,im", Z_ANTIDERIVATIVE_REFS)
+def test_z_antiderivative_against_mpmath(n, c_re, c_im, a, b, re, im):
+    c = complex(c_re, c_im)
+    got = z_antiderivative(n, c, b)
+    if a > 0.0:
+        got -= z_antiderivative(n, c, a)
+    want = complex(re, im)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_z_antiderivative_overflows_only_with_its_value():
+    # x^171 overflows at x = 87, x^171 e^{-174} does not (LOWER_GAMMA_REFS
+    # holds the value); at n = 10**17 the value itself leaves double range
+    want = 1.4549875709251195e+255
+    assert abs(z_antiderivative(170, -2.0, 87.0) - want) <= 1e-13 * want
+    with pytest.raises(OverflowError):
+        z_antiderivative(10**17, -1.0, 2.0)
 
 
 # --- incomplete gamma / E_n ------------------------------------------------
@@ -321,6 +364,7 @@ LOWER_GAMMA_REFS = [
     (300, 1.0, 8.0, 2.101, -1.1017181765741011e+93, -1.8936269064224574e+93),
     (300, 2.0, 0.0, 0.5082, 7.8222017780025433e-92, 0.0),
     (171, 0.5, 0.0, 1.0, 0.0035573037473033534, 0.0),
+    (171, 2.0, 0.0, 87.0, 1.4549875709251195e+255, 0.0),
 ]
 
 

@@ -9,6 +9,7 @@ from tribessel.errors import DivergenceError, DomainError
 from tribessel.expint import si
 from tribessel.oracle import (
     _BATCH_SEGMENTS,
+    _MAX_DEPTH,
     _MAX_SEGMENTS,
     QuadConfig,
     _gk_segment,
@@ -32,13 +33,10 @@ def spec000(n, m, a=1.0, b=1.0, u=1.0):
 def test_config_defaults_and_validation():
     cfg = QuadConfig()
     assert cfg.abs_tol == 1e-10 and cfg.rel_tol == 1e-10
-    assert cfg.max_depth == 50
     with pytest.raises(DomainError):
         QuadConfig(abs_tol=0.0)
     with pytest.raises(DomainError):
         QuadConfig(rel_tol=-1e-3)
-    with pytest.raises(DomainError):
-        QuadConfig(max_depth=9)
     with pytest.raises(DomainError):
         QuadConfig(tail_policy="nonsense")
 
@@ -144,7 +142,7 @@ def _quad_finite_per_segment(f, a, b, config, points):
         if err_total <= tol or seq >= _MAX_SEGMENTS:
             break
         neg_err, _, lo, hi, val, depth = heapq.heappop(heap)
-        if depth >= config.max_depth:
+        if depth >= _MAX_DEPTH:
             done.append((lo, hi, val, -neg_err))
             continue
         mid = 0.5 * (lo + hi)
@@ -202,9 +200,9 @@ def test_finite_integrand_calls_bounded_by_batch_size():
 
 
 def test_finite_max_depth_flag_not_exception():
-    # integrable endpoint singularity starves a depth-10 budget
+    # integrable endpoint singularity starves the bisection-depth budget
     f = lambda x: np.asarray(x, dtype=float) ** -0.9
-    r = quad_finite(f, 1e-300, 1.0, QuadConfig(max_depth=10))
+    r = quad_finite(f, 1e-300, 1.0)
     assert not r.converged
     assert np.isfinite(r.value)
 
